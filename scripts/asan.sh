@@ -12,16 +12,21 @@
 # (the CrashableDisk journal + recovery-probe churn is allocation-heavy),
 # `scripts/asan.sh -L snapshot` for the COW snapshot suite — the
 # leak detector is what proves a discarded snapshot's refcounted chunks
-# and blocks actually free — or `scripts/asan.sh -L spec` for the
+# and blocks actually free — `scripts/asan.sh -L spec` for the
 # executable-spec suite, whose O(state) deep-copy snapshots and
-# export/import round-trips are pure allocation traffic.
+# export/import round-trips are pure allocation traffic — or
+# `scripts/asan.sh -L abstraction` for the digest suite, whose per-4 KB
+# block digests slice and compare read buffers at block boundaries.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${MCFS_ASAN_BUILD_DIR:-${repo_root}/build-asan}"
 
 cmake -B "${build_dir}" -S "${repo_root}" -DMCFS_ASAN=ON
-cmake --build "${build_dir}" -j
+# One job per CPU, for the build and for ctest: a bare -j lets make start
+# every ASan compile at once, which exhausts memory, and ctest before 3.29
+# takes the next argument (e.g. the -L of a label filter) as its value.
+cmake --build "${build_dir}" -j "$(nproc)"
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-ctest --test-dir "${build_dir}" --output-on-failure -j "$@"
+ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" "$@"

@@ -21,8 +21,11 @@ Jffs2Fs::~Jffs2Fs() {
 //
 // On-flash node: magic u32, type u8, seq u64, payload_len u32,
 // crc u32 (low word of MD5 over payload), payload bytes; nodes are packed
-// back-to-back, 4-byte aligned. Erased flash (0xff...) fails the magic
-// check, which is how the log scan finds its end.
+// back-to-back, 4-byte aligned. The checksum stays MD5 rather than the
+// table CRC32 real JFFS2 uses because, next to the unrolled MD5 kernel, a
+// byte-wise CRC32 made remount-heavy ext4f-vs-jffs2f exploration slower.
+// Erased flash (0xff...) fails the magic check, which is how the log scan
+// finds its end.
 
 Bytes Jffs2Fs::SerializeInodeNode(InodeNum ino, const InodeRec& rec,
                                   bool tombstone) {
@@ -73,25 +76,32 @@ Bytes Jffs2Fs::SerializeRenameNode(InodeNum src_parent,
   return w.Take();
 }
 
-Status Jffs2Fs::AppendNode(ByteView payload, NodeType type) {
+Bytes Jffs2Fs::FrameNode(NodeType type, std::uint64_t seq, ByteView payload) {
   ByteWriter w;
   w.PutU32(kNodeMagic);
   w.PutU8(static_cast<std::uint8_t>(type));
-  w.PutU64(next_seq_);
+  w.PutU64(seq);
   w.PutU32(static_cast<std::uint32_t>(payload.size()));
   w.PutU32(static_cast<std::uint32_t>(Md5::Hash(payload).lo64()));
   w.PutBytes(payload);
   Bytes node = w.Take();
   while (node.size() % 4 != 0) node.push_back(0);
+  return node;
+}
 
-  if (log_head_ + node.size() > mtd_->size_bytes()) {
-    if (Status s = GarbageCollect(); !s.ok()) return s;
-    if (log_head_ + node.size() > mtd_->size_bytes()) {
-      return Errno::kENOSPC;
-    }
-  }
+Status Jffs2Fs::ProgramAtHead(ByteView node) {
+  if (log_head_ + node.size() > mtd_->size_bytes()) return Errno::kENOSPC;
   if (Status s = mtd_->Program(log_head_, node); !s.ok()) return s;
   log_head_ += node.size();
+  return Status::Ok();
+}
+
+Status Jffs2Fs::AppendNode(ByteView payload, NodeType type) {
+  const Bytes node = FrameNode(type, next_seq_, payload);
+  if (log_head_ + node.size() > mtd_->size_bytes()) {
+    if (Status s = GarbageCollect(); !s.ok()) return s;
+  }
+  if (Status s = ProgramAtHead(node); !s.ok()) return s;
   ++next_seq_;
   return Status::Ok();
 }
@@ -121,35 +131,21 @@ Status Jffs2Fs::GarbageCollect() {
   }
   log_head_ = 0;
   for (const auto& [ino, rec] : inodes_) {
-    Bytes payload = SerializeInodeNode(ino, rec, /*tombstone=*/false);
-    ByteWriter w;
-    w.PutU32(kNodeMagic);
-    w.PutU8(static_cast<std::uint8_t>(NodeType::kInode));
-    w.PutU64(next_seq_++);
-    w.PutU32(static_cast<std::uint32_t>(payload.size()));
-    w.PutU32(static_cast<std::uint32_t>(Md5::Hash(payload).lo64()));
-    w.PutBytes(payload);
-    Bytes node = w.Take();
-    while (node.size() % 4 != 0) node.push_back(0);
-    if (log_head_ + node.size() > mtd_->size_bytes()) return Errno::kENOSPC;
-    if (Status s = mtd_->Program(log_head_, node); !s.ok()) return s;
-    log_head_ += node.size();
+    const Bytes payload = SerializeInodeNode(ino, rec, /*tombstone=*/false);
+    if (Status s = ProgramAtHead(
+            FrameNode(NodeType::kInode, next_seq_++, payload));
+        !s.ok()) {
+      return s;
+    }
   }
   for (const auto& [key, val] : dirents_) {
-    Bytes payload =
+    const Bytes payload =
         SerializeDirentNode(key.first, key.second, val.first, val.second);
-    ByteWriter w;
-    w.PutU32(kNodeMagic);
-    w.PutU8(static_cast<std::uint8_t>(NodeType::kDirent));
-    w.PutU64(next_seq_++);
-    w.PutU32(static_cast<std::uint32_t>(payload.size()));
-    w.PutU32(static_cast<std::uint32_t>(Md5::Hash(payload).lo64()));
-    w.PutBytes(payload);
-    Bytes node = w.Take();
-    while (node.size() % 4 != 0) node.push_back(0);
-    if (log_head_ + node.size() > mtd_->size_bytes()) return Errno::kENOSPC;
-    if (Status s = mtd_->Program(log_head_, node); !s.ok()) return s;
-    log_head_ += node.size();
+    if (Status s = ProgramAtHead(
+            FrameNode(NodeType::kDirent, next_seq_++, payload));
+        !s.ok()) {
+      return s;
+    }
   }
   return Status::Ok();
 }

@@ -132,6 +132,10 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
                             InodeNum dst_parent, const std::string& dst_name,
                             InodeNum target, FileType type, InodeNum victim,
                             bool victim_unlinked);
+  // Frames a payload as one on-flash node: header, payload, 4-byte pad.
+  static Bytes FrameNode(NodeType type, std::uint64_t seq, ByteView payload);
+  // Programs a framed node at the log head; ENOSPC when it does not fit.
+  Status ProgramAtHead(ByteView node);
   Status AppendNode(ByteView payload, NodeType type);
   Status GarbageCollect();
   Status ReplayLog();

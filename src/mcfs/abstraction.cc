@@ -1,6 +1,7 @@
 #include "mcfs/abstraction.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "fs/path.h"
 #include "mcfs/ops.h"
@@ -17,6 +18,69 @@ bool OnExceptionList(const std::string& path,
   return false;
 }
 
+// A regular file's content enters its node digest as the sequence of
+// MD5s of its kContentBlock-byte blocks, cut at file offsets
+// [kContentBlock * i, kContentBlock * (i + 1)) however the reads happen
+// to be chunked. A block whose bytes equal the previous block's (exact
+// memcmp) reuses that block's digest instead of hashing it again, so a
+// file of repeated fill costs one block hash plus memcmps. The reuse is
+// exact: a block's digest is a function of its bytes alone, so reusing it
+// for equal bytes yields the digest hashing would have produced.
+constexpr std::size_t kContentBlock = 4096;
+
+class BlockDigester {
+ public:
+  BlockDigester(Md5& out, ContentHashStats* stats)
+      : out_(out), stats_(stats) {}
+
+  // Feeds the next bytes of the file, in offset order.
+  void Append(ByteView data) {
+    if (!pending_.empty()) {
+      const std::size_t take =
+          std::min(data.size(), kContentBlock - pending_.size());
+      pending_.insert(pending_.end(), data.begin(), data.begin() + take);
+      data = data.subspan(take);
+      if (pending_.size() < kContentBlock) return;
+      EmitBlock(pending_);
+      pending_.clear();
+    }
+    while (data.size() >= kContentBlock) {
+      EmitBlock(data.first(kContentBlock));
+      data = data.subspan(kContentBlock);
+    }
+    pending_.assign(data.begin(), data.end());
+  }
+
+  // Emits the trailing partial block, if any.
+  void Finish() {
+    if (!pending_.empty()) EmitBlock(pending_);
+  }
+
+ private:
+  void EmitBlock(ByteView block) {
+    const bool same_as_previous =
+        have_previous_ && block.size() == previous_.size() &&
+        std::memcmp(block.data(), previous_.data(), block.size()) == 0;
+    if (same_as_previous) {
+      if (stats_ != nullptr) ++stats_->blocks_reused;
+    } else {
+      previous_digest_ = Md5::Hash(block);
+      previous_.assign(block.begin(), block.end());
+      have_previous_ = true;
+      if (stats_ != nullptr) ++stats_->blocks_hashed;
+    }
+    out_.Update(ByteView(previous_digest_.bytes.data(),
+                         previous_digest_.bytes.size()));
+  }
+
+  Md5& out_;
+  ContentHashStats* stats_;
+  Bytes pending_;   // the current block's bytes while it is incomplete
+  Bytes previous_;  // the last emitted block's bytes, and its digest
+  Md5Digest previous_digest_;
+  bool have_previous_ = false;
+};
+
 // Feeds one node's content + important attributes + xattrs into `md5ctx`
 // — the byte scheme shared by the rolling Algorithm 1 digest and the
 // per-node digests of the incremental cache. Deliberately excludes the
@@ -24,11 +88,13 @@ bool OnExceptionList(const std::string& path,
 // node digests stay reusable.
 Status AppendNodeBytes(Md5& md5ctx, vfs::Vfs& v, const std::string& path,
                        const fs::InodeAttr& a,
-                       const AbstractionOptions& options) {
+                       const AbstractionOptions& options,
+                       ContentHashStats* stats) {
   // File content first (Algorithm 1 reads before stat'ing).
   if (a.type == fs::FileType::kRegular) {
     auto fd = v.Open(path, fs::kRdOnly, 0);
     if (!fd.ok()) return fd.error();
+    BlockDigester blocks(md5ctx, stats);
     std::uint64_t offset = 0;
     for (;;) {
       auto chunk = v.Read(fd.value(), offset, 64 * 1024);
@@ -37,9 +103,10 @@ Status AppendNodeBytes(Md5& md5ctx, vfs::Vfs& v, const std::string& path,
         return chunk.error();
       }
       if (chunk.value().empty()) break;
-      md5ctx.Update(chunk.value());
+      blocks.Append(chunk.value());
       offset += chunk.value().size();
     }
+    blocks.Finish();
     if (Status s = v.Close(fd.value()); !s.ok()) return s.error();
   } else if (a.type == fs::FileType::kSymlink) {
     auto target = v.ReadLink(path);
@@ -125,7 +192,8 @@ Result<Md5Digest> ComputeAbstractState(vfs::Vfs& v,
   for (const auto& path : paths.value()) {
     auto attr = v.Stat(path);
     if (!attr.ok()) return attr.error();
-    if (Status s = AppendNodeBytes(md5ctx, v, path, attr.value(), options);
+    if (Status s = AppendNodeBytes(md5ctx, v, path, attr.value(), options,
+                                   /*stats=*/nullptr);
         !s.ok()) {
       return s.error();
     }
@@ -135,11 +203,13 @@ Result<Md5Digest> ComputeAbstractState(vfs::Vfs& v,
 }
 
 Result<NodeDigest> HashNode(vfs::Vfs& v, const std::string& path,
-                            const AbstractionOptions& options) {
+                            const AbstractionOptions& options,
+                            ContentHashStats* stats) {
   auto attr = v.Stat(path);
   if (!attr.ok()) return attr.error();
   Md5 md5ctx;
-  if (Status s = AppendNodeBytes(md5ctx, v, path, attr.value(), options);
+  if (Status s =
+          AppendNodeBytes(md5ctx, v, path, attr.value(), options, stats);
       !s.ok()) {
     return s.error();
   }
@@ -190,7 +260,7 @@ Result<Md5Digest> IncrementalAbstraction::FullRecompute(
   auto paths = ListTreePaths(v, options);
   if (!paths.ok()) return paths.error();
   for (const auto& path : paths.value()) {
-    auto node = HashNode(v, path, options);
+    auto node = HashNode(v, path, options, &content_stats_);
     if (!node.ok()) {
       Invalidate();
       return node.error();
@@ -215,7 +285,7 @@ Result<Md5Digest> IncrementalAbstraction::Current(
 Status IncrementalAbstraction::RehashPath(vfs::Vfs& v,
                                           const std::string& path,
                                           const AbstractionOptions& options) {
-  auto node = HashNode(v, path, options);
+  auto node = HashNode(v, path, options, &content_stats_);
   if (node.ok()) {
     nodes_[path] = node.value();
     ++nodes_rehashed_;

@@ -14,6 +14,9 @@
 // workarounds: directory sizes are ignored, and paths on the exception
 // list (special folders like ext4's lost+found) are skipped entirely.
 //
+// A regular file's content enters the digest as the sequence of MD5s of
+// its 4 KB blocks; a block equal to the previous one reuses its digest.
+//
 // Two implementations share the per-node byte scheme:
 //   * ComputeAbstractState — the literal Algorithm 1: one rolling MD5
 //     over every node, O(tree + data) per call. Kept as the reference
@@ -89,9 +92,19 @@ struct NodeDigest {
   friend bool operator==(const NodeDigest&, const NodeDigest&) = default;
 };
 
-// Stats + hashes one node under the shared per-node byte scheme.
+// Content-hashing accounting: regular-file content is digested per 4 KB
+// block (DESIGN.md §7.4), and a block equal to the one before it reuses
+// that block's digest instead of being hashed again.
+struct ContentHashStats {
+  std::uint64_t blocks_hashed = 0;
+  std::uint64_t blocks_reused = 0;
+};
+
+// Stats + hashes one node under the shared per-node byte scheme; adds
+// the content blocks it digested to `stats` when that is non-null.
 Result<NodeDigest> HashNode(vfs::Vfs& v, const std::string& path,
-                            const AbstractionOptions& options);
+                            const AbstractionOptions& options,
+                            ContentHashStats* stats = nullptr);
 
 // The incremental abstraction engine (DESIGN.md §7.4).
 //
@@ -155,6 +168,8 @@ class IncrementalAbstraction {
     return incremental_refreshes_;
   }
   std::uint64_t nodes_rehashed() const { return nodes_rehashed_; }
+  std::uint64_t blocks_hashed() const { return content_stats_.blocks_hashed; }
+  std::uint64_t blocks_reused() const { return content_stats_.blocks_reused; }
 
   // The cache itself (tests; canonical order is the map's order).
   const std::map<std::string, NodeDigest>& nodes() const { return nodes_; }
@@ -180,6 +195,7 @@ class IncrementalAbstraction {
   std::uint64_t full_recomputes_ = 0;
   std::uint64_t incremental_refreshes_ = 0;
   std::uint64_t nodes_rehashed_ = 0;
+  ContentHashStats content_stats_;
   std::optional<std::string> divergence_;
 };
 

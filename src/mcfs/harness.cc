@@ -157,7 +157,9 @@ std::string McfsReport::Summary() const {
       << counters.corruption_events << " abs_full="
       << counters.abstraction_full_recomputes << " abs_incr="
       << counters.abstraction_incremental_refreshes << " abs_rehashed="
-      << counters.abstraction_nodes_rehashed;
+      << counters.abstraction_nodes_rehashed << " abs_blocks_hashed="
+      << counters.abstraction_blocks_hashed << " abs_blocks_reused="
+      << counters.abstraction_blocks_reused;
   if (counters.snapshots_peak > 0) {
     out << " snaps=" << counters.snapshots_live << " snaps_peak="
         << counters.snapshots_peak << " snap_bytes="

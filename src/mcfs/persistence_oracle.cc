@@ -158,10 +158,19 @@ Status PersistenceOracle::ObserveOp(fs::FileSystem& live, const Operation& op,
           fit->second.versions[fit->second.durable_floor].exists;
       ev.from_versions = fit->second.versions.size();
     }
+    // A target that existed at rename time, or at any point since its
+    // sync point, may be what a crash state recovers under that name.
+    // E.g. after `fsync; rmdir /f0; rename /d0 /f0`, the durable image
+    // holds both /d0 and /f0: a legal crash state, not a half-applied
+    // rename.
     auto tit = state_.paths.find(op.path2);
-    ev.to_existed = tit != state_.paths.end() &&
-                    !tit->second.versions.empty() &&
-                    tit->second.versions.back().exists;
+    if (tit != state_.paths.end()) {
+      const History& to = tit->second;
+      const std::size_t lo = to.has_durable ? to.durable_floor : 0;
+      for (std::size_t i = lo; i < to.versions.size(); ++i) {
+        if (to.versions[i].exists) ev.to_existed = true;
+      }
+    }
     ev.to_versions =
         tit == state_.paths.end() ? 0 : tit->second.versions.size();
     if (ev.from_before.exists) state_.renames.push_back(std::move(ev));

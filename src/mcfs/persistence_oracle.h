@@ -96,7 +96,8 @@ class PersistenceOracle {
     std::string from;
     std::string to;
     PathVersion from_before;   // `from`'s last version before the rename
-    bool to_existed = false;   // destination overwrote an existing path
+    // The destination existed at rename time or since its sync point.
+    bool to_existed = false;
     bool from_was_durable = false;
     // Version counts before the rename's own captures were appended —
     // "no versions past these" means no later op touched the path.

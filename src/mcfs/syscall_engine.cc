@@ -188,6 +188,10 @@ void SyscallEngine::SyncAbstractionCounters() {
       inc_a_.incremental_refreshes() + inc_b_.incremental_refreshes();
   counters_.abstraction_nodes_rehashed =
       inc_a_.nodes_rehashed() + inc_b_.nodes_rehashed();
+  counters_.abstraction_blocks_hashed =
+      inc_a_.blocks_hashed() + inc_b_.blocks_hashed();
+  counters_.abstraction_blocks_reused =
+      inc_a_.blocks_reused() + inc_b_.blocks_reused();
 }
 
 Status SyscallEngine::RefreshAbstractState(bool check_equality,

@@ -51,6 +51,10 @@ struct EngineCounters {
   std::uint64_t abstraction_full_recomputes = 0;
   std::uint64_t abstraction_incremental_refreshes = 0;
   std::uint64_t abstraction_nodes_rehashed = 0;
+  // Regular-file content blocks digested by those rehashes: hashed, or
+  // reused from an identical preceding block of the same file.
+  std::uint64_t abstraction_blocks_hashed = 0;
+  std::uint64_t abstraction_blocks_reused = 0;
   // Crash-exploration accounting: CrashCheck() invocations and the total
   // number of crash states mounted + validated across both sides.
   std::uint64_t crash_checks = 0;

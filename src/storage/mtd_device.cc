@@ -15,7 +15,9 @@ MtdDevice::MtdDevice(std::string name, std::uint64_t size_bytes,
 
 Status MtdDevice::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
   if (offset + out.size() > data_.size()) return Errno::kEIO;
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+  // An empty span (a zero-length node payload) may have a null data(),
+  // which memcpy must not receive even for zero bytes.
+  if (!out.empty()) std::memcpy(out.data(), data_.data() + offset, out.size());
   Charge((out.size() + 1023) / 1024 * options_.read_latency_per_kb);
   return Status::Ok();
 }

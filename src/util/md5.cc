@@ -9,29 +9,6 @@ namespace {
 constexpr std::uint32_t kInit[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
                                     0x10325476u};
 
-// Per-round left-rotation amounts.
-constexpr int kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// Binary integer parts of abs(sin(i+1)) * 2^32.
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478u, 0xe8c7b756u, 0x242070dbu, 0xc1bdceeeu, 0xf57c0fafu,
-    0x4787c62au, 0xa8304613u, 0xfd469501u, 0x698098d8u, 0x8b44f7afu,
-    0xffff5bb1u, 0x895cd7beu, 0x6b901122u, 0xfd987193u, 0xa679438eu,
-    0x49b40821u, 0xf61e2562u, 0xc040b340u, 0x265e5a51u, 0xe9b6c7aau,
-    0xd62f105du, 0x02441453u, 0xd8a1e681u, 0xe7d3fbc8u, 0x21e1cde6u,
-    0xc33707d6u, 0xf4d50d87u, 0x455a14edu, 0xa9e3e905u, 0xfcefa3f8u,
-    0x676f02d9u, 0x8d2a4c8au, 0xfffa3942u, 0x8771f681u, 0x6d9d6122u,
-    0xfde5380cu, 0xa4beea44u, 0x4bdecfa9u, 0xf6bb4b60u, 0xbebfbc70u,
-    0x289b7ec6u, 0xeaa127fau, 0xd4ef3085u, 0x04881d05u, 0xd9d4d039u,
-    0xe6db99e5u, 0x1fa27cf8u, 0xc4ac5665u, 0xf4292244u, 0x432aff97u,
-    0xab9423a7u, 0xfc93a039u, 0x655b59c3u, 0x8f0ccc92u, 0xffeff47du,
-    0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
-    0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
-
 constexpr std::uint32_t Rotl(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
 }
@@ -129,6 +106,18 @@ Md5Digest Md5::Final() {
   return digest;
 }
 
+// RFC 1321 round functions. F and G are written in their select forms
+// (z ^ (x & (y ^ z)) == (x & y) | (~x & z)), which need no NOT.
+#define MD5_F(x, y, z) ((z) ^ ((x) & ((y) ^ (z))))
+#define MD5_G(x, y, z) ((y) ^ ((z) & ((x) ^ (y))))
+#define MD5_H(x, y, z) ((x) ^ (y) ^ (z))
+#define MD5_I(x, y, z) ((y) ^ ((x) | ~(z)))
+
+// One step: a = b + ((a + f(b, c, d) + m[k] + t) <<< s). The message index
+// k, the shift s and the sine constant t are literals in every expansion.
+#define MD5_STEP(f, a, b, c, d, k, s, t) \
+  (a) = (b) + Rotl((a) + f((b), (c), (d)) + m[k] + (t), (s))
+
 void Md5::ProcessBlock(const std::uint8_t block[64]) {
   std::uint32_t m[16];
   for (int i = 0; i < 16; ++i) {
@@ -139,34 +128,90 @@ void Md5::ProcessBlock(const std::uint8_t block[64]) {
   }
 
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t temp = d;
-    d = c;
-    c = b;
-    b = b + Rotl(a + f + kSine[i] + m[g], kShift[i]);
-    a = temp;
-  }
+
+  // Round 1: m[i].
+  MD5_STEP(MD5_F, a, b, c, d, 0, 7, 0xd76aa478u);
+  MD5_STEP(MD5_F, d, a, b, c, 1, 12, 0xe8c7b756u);
+  MD5_STEP(MD5_F, c, d, a, b, 2, 17, 0x242070dbu);
+  MD5_STEP(MD5_F, b, c, d, a, 3, 22, 0xc1bdceeeu);
+  MD5_STEP(MD5_F, a, b, c, d, 4, 7, 0xf57c0fafu);
+  MD5_STEP(MD5_F, d, a, b, c, 5, 12, 0x4787c62au);
+  MD5_STEP(MD5_F, c, d, a, b, 6, 17, 0xa8304613u);
+  MD5_STEP(MD5_F, b, c, d, a, 7, 22, 0xfd469501u);
+  MD5_STEP(MD5_F, a, b, c, d, 8, 7, 0x698098d8u);
+  MD5_STEP(MD5_F, d, a, b, c, 9, 12, 0x8b44f7afu);
+  MD5_STEP(MD5_F, c, d, a, b, 10, 17, 0xffff5bb1u);
+  MD5_STEP(MD5_F, b, c, d, a, 11, 22, 0x895cd7beu);
+  MD5_STEP(MD5_F, a, b, c, d, 12, 7, 0x6b901122u);
+  MD5_STEP(MD5_F, d, a, b, c, 13, 12, 0xfd987193u);
+  MD5_STEP(MD5_F, c, d, a, b, 14, 17, 0xa679438eu);
+  MD5_STEP(MD5_F, b, c, d, a, 15, 22, 0x49b40821u);
+
+  // Round 2: m[(5i + 1) mod 16].
+  MD5_STEP(MD5_G, a, b, c, d, 1, 5, 0xf61e2562u);
+  MD5_STEP(MD5_G, d, a, b, c, 6, 9, 0xc040b340u);
+  MD5_STEP(MD5_G, c, d, a, b, 11, 14, 0x265e5a51u);
+  MD5_STEP(MD5_G, b, c, d, a, 0, 20, 0xe9b6c7aau);
+  MD5_STEP(MD5_G, a, b, c, d, 5, 5, 0xd62f105du);
+  MD5_STEP(MD5_G, d, a, b, c, 10, 9, 0x02441453u);
+  MD5_STEP(MD5_G, c, d, a, b, 15, 14, 0xd8a1e681u);
+  MD5_STEP(MD5_G, b, c, d, a, 4, 20, 0xe7d3fbc8u);
+  MD5_STEP(MD5_G, a, b, c, d, 9, 5, 0x21e1cde6u);
+  MD5_STEP(MD5_G, d, a, b, c, 14, 9, 0xc33707d6u);
+  MD5_STEP(MD5_G, c, d, a, b, 3, 14, 0xf4d50d87u);
+  MD5_STEP(MD5_G, b, c, d, a, 8, 20, 0x455a14edu);
+  MD5_STEP(MD5_G, a, b, c, d, 13, 5, 0xa9e3e905u);
+  MD5_STEP(MD5_G, d, a, b, c, 2, 9, 0xfcefa3f8u);
+  MD5_STEP(MD5_G, c, d, a, b, 7, 14, 0x676f02d9u);
+  MD5_STEP(MD5_G, b, c, d, a, 12, 20, 0x8d2a4c8au);
+
+  // Round 3: m[(3i + 5) mod 16].
+  MD5_STEP(MD5_H, a, b, c, d, 5, 4, 0xfffa3942u);
+  MD5_STEP(MD5_H, d, a, b, c, 8, 11, 0x8771f681u);
+  MD5_STEP(MD5_H, c, d, a, b, 11, 16, 0x6d9d6122u);
+  MD5_STEP(MD5_H, b, c, d, a, 14, 23, 0xfde5380cu);
+  MD5_STEP(MD5_H, a, b, c, d, 1, 4, 0xa4beea44u);
+  MD5_STEP(MD5_H, d, a, b, c, 4, 11, 0x4bdecfa9u);
+  MD5_STEP(MD5_H, c, d, a, b, 7, 16, 0xf6bb4b60u);
+  MD5_STEP(MD5_H, b, c, d, a, 10, 23, 0xbebfbc70u);
+  MD5_STEP(MD5_H, a, b, c, d, 13, 4, 0x289b7ec6u);
+  MD5_STEP(MD5_H, d, a, b, c, 0, 11, 0xeaa127fau);
+  MD5_STEP(MD5_H, c, d, a, b, 3, 16, 0xd4ef3085u);
+  MD5_STEP(MD5_H, b, c, d, a, 6, 23, 0x04881d05u);
+  MD5_STEP(MD5_H, a, b, c, d, 9, 4, 0xd9d4d039u);
+  MD5_STEP(MD5_H, d, a, b, c, 12, 11, 0xe6db99e5u);
+  MD5_STEP(MD5_H, c, d, a, b, 15, 16, 0x1fa27cf8u);
+  MD5_STEP(MD5_H, b, c, d, a, 2, 23, 0xc4ac5665u);
+
+  // Round 4: m[7i mod 16].
+  MD5_STEP(MD5_I, a, b, c, d, 0, 6, 0xf4292244u);
+  MD5_STEP(MD5_I, d, a, b, c, 7, 10, 0x432aff97u);
+  MD5_STEP(MD5_I, c, d, a, b, 14, 15, 0xab9423a7u);
+  MD5_STEP(MD5_I, b, c, d, a, 5, 21, 0xfc93a039u);
+  MD5_STEP(MD5_I, a, b, c, d, 12, 6, 0x655b59c3u);
+  MD5_STEP(MD5_I, d, a, b, c, 3, 10, 0x8f0ccc92u);
+  MD5_STEP(MD5_I, c, d, a, b, 10, 15, 0xffeff47du);
+  MD5_STEP(MD5_I, b, c, d, a, 1, 21, 0x85845dd1u);
+  MD5_STEP(MD5_I, a, b, c, d, 8, 6, 0x6fa87e4fu);
+  MD5_STEP(MD5_I, d, a, b, c, 15, 10, 0xfe2ce6e0u);
+  MD5_STEP(MD5_I, c, d, a, b, 6, 15, 0xa3014314u);
+  MD5_STEP(MD5_I, b, c, d, a, 13, 21, 0x4e0811a1u);
+  MD5_STEP(MD5_I, a, b, c, d, 4, 6, 0xf7537e82u);
+  MD5_STEP(MD5_I, d, a, b, c, 11, 10, 0xbd3af235u);
+  MD5_STEP(MD5_I, c, d, a, b, 2, 15, 0x2ad7d2bbu);
+  MD5_STEP(MD5_I, b, c, d, a, 9, 21, 0xeb86d391u);
 
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;
   state_[3] += d;
 }
+
+#undef MD5_STEP
+#undef MD5_I
+#undef MD5_H
+#undef MD5_G
+#undef MD5_F
 
 Md5Digest Md5::Hash(ByteView data) {
   Md5 ctx;

@@ -115,5 +115,22 @@ TEST(CrashExploreTest, CrashMutantsSurviveLiveOnlyChecking) {
   EXPECT_FALSE(report.stats.violation_found) << report.stats.violation_report;
 }
 
+TEST(CrashExploreTest, RenameOverADurablyRemovedTargetIsNotHalfApplied) {
+  // Regression for a persistence-oracle false positive: after an fsync
+  // made /f0 durable, `rmdir /f0; rename /d0 /f0` leaves a crash state
+  // (the durable image itself) holding both /d0 and /f0 as identical
+  // empty directories. The rename rule used to skip only targets that
+  // existed at rename time, so it reported "rename /d0 -> /f0 recovered
+  // half-applied: both names present" at op 474 of this run.
+  McfsConfig config = CrashPairConfig(FsKind::kExt2, FsKind::kExt4);
+  config.explore.max_depth = 6;
+  config.explore.max_operations = 600;
+  auto mcfs = Mcfs::Create(config);
+  ASSERT_TRUE(mcfs.ok());
+  McfsReport report = mcfs.value()->Run();
+  EXPECT_FALSE(report.stats.violation_found) << report.stats.violation_report;
+  EXPECT_GE(report.stats.operations, 600u);
+}
+
 }  // namespace
 }  // namespace mcfs::core

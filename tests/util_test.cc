@@ -2,6 +2,7 @@
 // byte serialization, deterministic RNG, and the simulated clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "util/bytes.h"
@@ -55,6 +56,40 @@ TEST(Md5Test, IncrementalMatchesOneShot) {
   }
   ctx.Update(std::string_view(payload).substr(offset));
   EXPECT_EQ(ctx.Final(), Md5::Hash(payload));
+}
+
+TEST(Md5Test, MillionAMatchesRfc1321Vector) {
+  // The long vector: 15,625 full blocks, so every round of the unrolled
+  // kernel runs on thousands of chained states.
+  EXPECT_EQ(Md5::Hash(std::string(1'000'000, 'a')).ToHex(),
+            "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+TEST(Md5Test, EverySplitOfTheInputMatchesOneShot) {
+  // Non-repeating bytes and an odd length, so a misplaced block
+  // boundary or a stale buffered tail changes the digest.
+  Bytes payload(200'003);
+  std::uint32_t x = 0x9e3779b9u;
+  for (std::uint8_t& byte : payload) {
+    x = x * 1664525u + 1013904223u;
+    byte = static_cast<std::uint8_t>(x >> 24);
+  }
+  const ByteView all(payload);
+  const Md5Digest expected = Md5::Hash(all);
+
+  for (std::size_t split = 0; split <= 200; ++split) {
+    Md5 ctx;
+    ctx.Update(all.first(split));
+    ctx.Update(all.subspan(split));
+    EXPECT_EQ(ctx.Final(), expected) << "split at " << split;
+  }
+  for (std::size_t chunk : {4096ul, 65536ul}) {
+    Md5 ctx;
+    for (std::size_t offset = 0; offset < all.size(); offset += chunk) {
+      ctx.Update(all.subspan(offset, std::min(chunk, all.size() - offset)));
+    }
+    EXPECT_EQ(ctx.Final(), expected) << chunk << "-byte chunks";
+  }
 }
 
 TEST(Md5Test, DigestHalvesDiffer) {
