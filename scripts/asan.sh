@@ -16,7 +16,10 @@
 # executable-spec suite, whose O(state) deep-copy snapshots and
 # export/import round-trips are pure allocation traffic — or
 # `scripts/asan.sh -L abstraction` for the digest suite, whose per-4 KB
-# block digests slice and compare read buffers at block boundaries.
+# block digests slice and compare read buffers at block boundaries, or
+# `scripts/asan.sh -L fs` for the device and file-system internals suite
+# (storage_test, fs_internals_test), whose jffs2f replay compares and
+# copies flash byte ranges against its checksum memo.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "fs/path.h"
 #include "util/md5.h"
@@ -164,7 +165,15 @@ Status Jffs2Fs::ReplayLog() {
            std::pair<std::uint64_t, std::pair<InodeNum, FileType>>>
       latest_dirent;
 
+  // Every node is read and parsed, so the device charges and the rebuilt
+  // index are those of a cold replay; the checksum memo only spares the
+  // MD5 of nodes an earlier replay verified.
   const std::uint64_t flash = mtd_->size_bytes();
+  // One allocation of the whole flash per instance. Grown node by node,
+  // the memo's large reallocations and frees moved malloc's dynamic mmap
+  // threshold, which made building the next Mcfs (ext4f x jffs2f) 15%
+  // slower.
+  verified_log_.reserve(flash);
   std::uint64_t pos = 0;
   while (pos + 21 <= flash) {
     Bytes header(21);
@@ -178,8 +187,28 @@ Status Jffs2Fs::ReplayLog() {
     if (pos + 21 + len > flash) break;  // truncated tail
     Bytes payload(len);
     if (Status s = mtd_->Read(pos + 21, payload); !s.ok()) return s;
-    if (static_cast<std::uint32_t>(Md5::Hash(payload).lo64()) != crc) {
-      break;  // torn node: end of valid log
+    // Either every node so far equalled the memo's, so `pos` is a node
+    // boundary of the memo too, or the memo was cut at the last node this
+    // replay hashed and ends before `pos`. So a node equal to the memo
+    // bytes at `pos` is one that passed its checksum, a pure function of
+    // these bytes. Without the cut, a memo range could straddle two old
+    // nodes and vouch for bytes that were never checked as a node.
+    const bool verified =
+        pos + 21 + len <= verified_log_.size() &&
+        std::memcmp(verified_log_.data() + pos, header.data(), 21) == 0 &&
+        (len == 0 || std::memcmp(verified_log_.data() + pos + 21,
+                                 payload.data(), len) == 0);
+    if (verified) {
+      ++replay_nodes_reused_;
+    } else {
+      ++replay_nodes_hashed_;
+      if (static_cast<std::uint32_t>(Md5::Hash(payload).lo64()) != crc) {
+        break;  // torn node: end of valid log
+      }
+      verified_log_.resize(pos);
+      verified_log_.insert(verified_log_.end(), header.begin(), header.end());
+      verified_log_.insert(verified_log_.end(), payload.begin(),
+                           payload.end());
     }
 
     try {

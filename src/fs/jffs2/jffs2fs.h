@@ -10,7 +10,10 @@
 //     binding to inode 0 is a deletion record.
 // Mount scans the log and rebuilds an in-memory index; that index is the
 // mount-time cache that goes stale if the flash is restored underneath a
-// live mount (the §3.2 hazard, in its flash form). When the log head
+// live mount (the §3.2 hazard, in its flash form). The scan still reads
+// and parses every node on every mount, but it skips the checksum of a
+// node that is byte-identical to one an earlier mount verified at the
+// same offset (the checksum memo, see ReplayLog). When the log head
 // reaches the end of the flash, garbage collection erases everything and
 // rewrites only live nodes.
 //
@@ -91,6 +94,10 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
 
   // Test/diagnostics.
   std::uint64_t gc_runs() const { return gc_runs_; }
+  // Nodes whose checksum replay computed / took from the memo, summed
+  // over every mount of this instance.
+  std::uint64_t replay_nodes_hashed() const { return replay_nodes_hashed_; }
+  std::uint64_t replay_nodes_reused() const { return replay_nodes_reused_; }
   std::uint64_t log_head() const { return log_head_; }
   storage::MtdDevice& mtd() { return *mtd_; }
 
@@ -184,6 +191,14 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
   FileHandle next_handle_ = 1;
   std::uint64_t op_counter_ = 0;
   std::uint64_t gc_runs_ = 0;
+
+  // Checksum memo: nodes that passed their checksum, each at its flash
+  // offset, back to back from offset 0 (the 4-byte alignment pads between
+  // them hold arbitrary bytes). A node replay verifies replaces the memo
+  // from its offset on, which keeps that shape. At most the flash size.
+  Bytes verified_log_;
+  std::uint64_t replay_nodes_hashed_ = 0;
+  std::uint64_t replay_nodes_reused_ = 0;
 };
 
 }  // namespace mcfs::fs

@@ -11,6 +11,8 @@
 #include "fs/jffs2/jffs2fs.h"
 #include "fs/xfs/xfsfs.h"
 #include "storage/ram_disk.h"
+#include "util/md5.h"
+#include "util/rng.h"
 
 namespace mcfs::fs {
 namespace {
@@ -456,6 +458,262 @@ TEST(Jffs2Internals, TornTailIsIgnoredOnReplay) {
   auto data = fs.Read(fd.value(), 0, 100);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(AsString(data.value()), "intact");
+}
+
+// The checksum memo: a remount re-verifies only nodes that an earlier
+// mount did not verify at the same offset.
+
+// Offsets of the nodes in `image` before `head` (header: magic u32,
+// type u8, seq u64, len u32, crc u32; nodes are 4-byte aligned).
+std::vector<std::uint64_t> NodeOffsets(const Bytes& image,
+                                       std::uint64_t head) {
+  std::vector<std::uint64_t> offsets;
+  for (std::uint64_t pos = 0; pos < head;) {
+    offsets.push_back(pos);
+    ByteReader r(ByteView(image).subspan(pos + 13, 4));
+    pos += (21 + r.GetU32() + 3) / 4 * 4;
+  }
+  return offsets;
+}
+
+// ExportMountState without its trailing op counter, which is each
+// instance's own timestamp clock and not replayed from flash.
+Bytes ReplayedState(const Jffs2Fs& fs) {
+  auto state = fs.ExportMountState();
+  EXPECT_TRUE(state.ok());
+  if (!state.ok()) return {};
+  Bytes bytes = std::move(state.value());
+  bytes.resize(bytes.size() - 8);
+  return bytes;
+}
+
+// Remounts `warm` on `image` and mounts a fresh Jffs2Fs on a copy of the
+// same bytes: both must reach the same mount status and, when mounted,
+// the same index and log cursors (log head, next seq, next inode).
+void ExpectWarmMatchesCold(Jffs2Fs& warm, const Bytes& image,
+                           const std::string& what) {
+  SCOPED_TRACE(what);
+  if (warm.IsMounted()) {
+    ASSERT_TRUE(warm.Unmount().ok());
+  }
+  ASSERT_TRUE(warm.mtd().RestoreContents(image).ok());
+  const Status warm_status = warm.Mount();
+
+  auto copy = MakeMtd(image.size());
+  ASSERT_TRUE(copy->RestoreContents(image).ok());
+  Jffs2Fs cold(copy);
+  const Status cold_status = cold.Mount();
+  ASSERT_EQ(warm_status, cold_status) << ErrnoName(warm_status.error());
+  if (!warm_status.ok()) return;
+  EXPECT_EQ(ReplayedState(warm), ReplayedState(cold));
+}
+
+TEST(Jffs2Internals, WarmReplayMatchesColdReplay) {
+  auto mtd = MakeMtd(128 * 1024);
+  Jffs2Fs warm(mtd);
+  ASSERT_TRUE(warm.Mkfs().ok());
+  ASSERT_TRUE(warm.Mount().ok());
+
+  Rng rng(20211);
+  std::vector<Bytes> images;  // every image captured after a clean remount
+  const std::vector<std::string> names = {"/a", "/b", "/c", "/d/x", "/d/y"};
+  for (int step = 0; step < 600; ++step) {
+    const std::string& path = names[rng.Below(names.size())];
+    switch (rng.Below(6)) {
+      case 0:
+      case 1: {  // rewrite a file: the log fills and GC runs
+        (void)warm.Mkdir("/d", 0755);
+        auto fd = warm.Open(path, kCreate | kWrOnly | kTrunc, 0644);
+        if (fd.ok()) {
+          const Bytes data(rng.Between(0, 6000),
+                           static_cast<std::uint8_t>(rng.Next()));
+          (void)warm.Write(fd.value(), 0, data);
+          (void)warm.Close(fd.value());
+        }
+        break;
+      }
+      case 2:
+        (void)warm.Unlink(path);
+        break;
+      case 3:
+        (void)warm.Rename(path, names[rng.Below(names.size())]);
+        break;
+      case 4:
+        (void)warm.Chmod(path, static_cast<Mode>(rng.Below(0777)));
+        break;
+      default:
+        (void)warm.SetXattr(path, "user.k", AsBytes("v"));
+        break;
+    }
+    if (step % 4 != 3) continue;
+
+    // Remount the unchanged flash, then one of: an older or newer image,
+    // a torn tail, or a one-byte flip in a node the memo holds.
+    ASSERT_TRUE(warm.Unmount().ok());
+    const Bytes image = mtd->SnapshotContents();
+    ExpectWarmMatchesCold(warm, image, "unchanged");
+    ASSERT_TRUE(warm.IsMounted());
+    images.push_back(image);
+    const std::uint64_t head = warm.log_head();
+    const std::vector<std::uint64_t> nodes = NodeOffsets(image, head);
+    Bytes variant = image;
+    std::string what;
+    switch (rng.Below(4)) {
+      case 0:
+        variant = images[rng.Below(images.size())];
+        what = "captured image";
+        break;
+      case 1: {
+        const std::uint64_t cut =
+            head - rng.Between(1, std::min<std::uint64_t>(head, 64));
+        std::fill(variant.begin() + cut, variant.begin() + head, 0xff);
+        what = "torn tail at " + std::to_string(cut);
+        break;
+      }
+      case 2: {
+        static constexpr std::uint64_t kHeaderFields[] = {0, 13, 17};
+        const std::uint64_t at = nodes[rng.Below(nodes.size())] +
+                                 kHeaderFields[rng.Below(3)] + rng.Below(4);
+        variant[at] ^= static_cast<std::uint8_t>(1 + rng.Below(255));
+        what = "header flip at " + std::to_string(at);
+        break;
+      }
+      default: {
+        const std::uint64_t node = nodes[rng.Below(nodes.size())];
+        ByteReader r(ByteView(image).subspan(node + 13, 4));
+        const std::uint32_t len = r.GetU32();
+        if (len == 0) continue;
+        const std::uint64_t at = node + 21 + rng.Below(len);
+        variant[at] ^= static_cast<std::uint8_t>(1 + rng.Below(255));
+        what = "payload flip at " + std::to_string(at);
+        break;
+      }
+    }
+    ExpectWarmMatchesCold(warm, variant, what);
+    // Carry on from the intact image (a damaged log cannot be appended to).
+    ExpectWarmMatchesCold(warm, image, "back to " + what);
+    ASSERT_TRUE(warm.IsMounted());
+  }
+  EXPECT_GE(warm.gc_runs(), 2u);
+  EXPECT_GT(warm.replay_nodes_reused(), 0u);
+  EXPECT_GT(warm.replay_nodes_hashed(), 0u);
+}
+
+// A hand-framed dirent node (parent 1, `name`, dangling target 999),
+// padded to 4 bytes; `crc_ok` false stores a checksum that does not match.
+Bytes FrameDirentNode(std::uint64_t seq, const std::string& name,
+                      bool crc_ok) {
+  ByteWriter p;
+  p.PutU64(1);
+  p.PutString(name);
+  p.PutU64(999);
+  p.PutU8(static_cast<std::uint8_t>(FileType::kRegular));
+  const Bytes payload = p.Take();
+  ByteWriter w;
+  w.PutU32(0x4a324653);  // node magic
+  w.PutU8(2);            // dirent
+  w.PutU64(seq);
+  w.PutU32(static_cast<std::uint32_t>(payload.size()));
+  w.PutU32(static_cast<std::uint32_t>(Md5::Hash(payload).lo64()) ^
+           (crc_ok ? 0 : 1));
+  w.PutBytes(payload);
+  Bytes node = w.Take();
+  node.resize((node.size() + 3) / 4 * 4, 0);
+  return node;
+}
+
+TEST(Jffs2Internals, MemoDoesNotVouchForBytesPastTheFirstChangedNode) {
+  auto mtd = MakeMtd(64 * 1024);
+  Jffs2Fs warm(mtd);
+  ASSERT_TRUE(warm.Mkfs().ok());
+  ASSERT_TRUE(warm.Mount().ok());
+  const std::uint64_t root_end = warm.log_head();
+  ASSERT_TRUE(warm.Unmount().ok());
+  const Bytes formatted = mtd->SnapshotContents();
+
+  // A node with a bad checksum, and an old log in which those exact bytes
+  // sit, 44 bytes past the root node, inside the name of a valid node.
+  const Bytes forged = FrameDirentNode(500, "ghost", /*crc_ok=*/false);
+  std::string name(11, 'p');  // the name starts 33 bytes into the node
+  name.append(forged.begin(), forged.end());
+  Bytes old_log = formatted;
+  const Bytes carrier = FrameDirentNode(2, name, /*crc_ok=*/true);
+  std::copy(carrier.begin(), carrier.end(), old_log.begin() + root_end);
+  ExpectWarmMatchesCold(warm, old_log, "carrier");
+
+  // The new log changes the node after the root to one 44 bytes long and
+  // puts the forged node right after it: the memo holds the same bytes at
+  // the same offset, but they were never a node that passed a checksum.
+  Bytes new_log = formatted;
+  const Bytes changed = FrameDirentNode(2, "yy", /*crc_ok=*/true);
+  ASSERT_EQ(changed.size(), 44u);
+  std::copy(changed.begin(), changed.end(), new_log.begin() + root_end);
+  std::copy(forged.begin(), forged.end(), new_log.begin() + root_end + 44);
+  ExpectWarmMatchesCold(warm, new_log, "forged");
+  EXPECT_EQ(warm.log_head(), root_end + 44);
+}
+
+TEST(Jffs2Internals, RemountHashesOnlyNodesItHasNotVerified) {
+  auto mtd = MakeMtd(64 * 1024);
+  Jffs2Fs fs(mtd);
+  ASSERT_TRUE(fs.Mkfs().ok());
+  ASSERT_TRUE(fs.Mount().ok());
+  Bytes older;
+  for (int i = 0; i < 8; ++i) {
+    if (i == 4) older = mtd->SnapshotContents();
+    WriteAll(fs, "/f" + std::to_string(i), std::string(100, 'a' + i));
+  }
+  ASSERT_TRUE(fs.Unmount().ok());
+  ASSERT_TRUE(fs.Mount().ok());  // first replay of these nodes
+  const Bytes image = mtd->SnapshotContents();
+  const std::vector<std::uint64_t> nodes = NodeOffsets(image, fs.log_head());
+  ASSERT_GE(nodes.size(), 10u);
+
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;  // hashed, reused
+  auto remount = [&](const Bytes& flash) {
+    const std::uint64_t hashed = fs.replay_nodes_hashed();
+    const std::uint64_t reused = fs.replay_nodes_reused();
+    EXPECT_TRUE(fs.Unmount().ok());
+    EXPECT_TRUE(mtd->RestoreContents(flash).ok());
+    EXPECT_TRUE(fs.Mount().ok());
+    return Counts(fs.replay_nodes_hashed() - hashed,
+                  fs.replay_nodes_reused() - reused);
+  };
+
+  // Unchanged image: every node is reused, none hashed.
+  EXPECT_EQ(remount(image), Counts(0, nodes.size()));
+
+  // An older image is a prefix of the log, and mounting it keeps the
+  // newer nodes in the memo.
+  const Counts to_older = remount(older);
+  EXPECT_EQ(to_older.first, 0u);
+  EXPECT_LT(to_older.second, nodes.size());
+  EXPECT_EQ(remount(image), Counts(0, nodes.size()));
+
+  // One flipped payload byte in node k: nodes before k are reused, node k
+  // is hashed, fails its checksum, and replay stops there.
+  const std::size_t k = 6;
+  Bytes flipped = image;
+  flipped[nodes[k] + 21 + 3] ^= 0x01;
+  EXPECT_EQ(remount(flipped), Counts(1, k));
+  EXPECT_EQ(fs.log_head(), nodes[k]);
+
+  // Back to the intact image: the node that failed did not evict the
+  // memo's copy of node k or anything after it.
+  EXPECT_EQ(remount(image), Counts(0, nodes.size()));
+
+  // GC rewrites every live node with a new seq: one remount hashes them
+  // all, the next hashes none.
+  const std::uint64_t gcs = fs.gc_runs();
+  for (int i = 0; fs.gc_runs() == gcs; ++i) {
+    ASSERT_LT(i, 1000);
+    WriteAll(fs, "/churn", std::string(2000, 'c'));
+  }
+  const Bytes compacted = mtd->SnapshotContents();
+  const Counts after_gc = remount(compacted);
+  const std::uint64_t live = NodeOffsets(compacted, fs.log_head()).size();
+  EXPECT_EQ(after_gc, Counts(live, 0));
+  EXPECT_EQ(remount(compacted), Counts(0, live));
 }
 
 // ---------------------------------------------------------------------------
