@@ -15,7 +15,6 @@
 
 #include "mc/explorer.h"
 #include "mcfs/harness.h"
-#include "mcfs/nway_engine.h"
 
 int main(int argc, char** argv) {
   using namespace mcfs;
@@ -59,10 +58,10 @@ int main(int argc, char** argv) {
               panel[2]->name().c_str(),
               with_spec ? ", specfs (oracle)" : "");
 
-  NWayOptions options;
+  EngineOptions options;
   options.pool = ParameterPool::Default();
   if (with_spec) options.oracle_index = 3;
-  NWaySyscallEngine engine(panel, options);
+  SyscallEngine engine(panel, options);
 
   mc::ExplorerOptions eopts;
   eopts.max_operations = 200'000;

@@ -19,7 +19,10 @@
 # block digests slice and compare read buffers at block boundaries, or
 # `scripts/asan.sh -L fs` for the device and file-system internals suite
 # (storage_test, fs_internals_test), whose jffs2f replay compares and
-# copies flash byte ranges against its checksum memo.
+# copies flash byte ranges against its checksum memo, or
+# `scripts/asan.sh -L engine` for the syscall engine's own suites
+# (engine_test, extensions_test), whose pairs and panels save, restore
+# and discard snapshots on every member.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

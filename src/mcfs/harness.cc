@@ -6,8 +6,6 @@
 #include <functional>
 #include <sstream>
 
-#include "mcfs/nway_engine.h"
-
 namespace mcfs::core {
 
 Result<std::unique_ptr<Mcfs>> Mcfs::Create(McfsConfig config) {
@@ -38,7 +36,8 @@ Result<std::unique_ptr<Mcfs>> Mcfs::Create(McfsConfig config) {
   }
 
   mcfs->engine_ = std::make_unique<SyscallEngine>(
-      *mcfs->fs_a_, *mcfs->fs_b_, mcfs->config_.engine);
+      std::vector<FsUnderTest*>{mcfs->fs_a_.get(), mcfs->fs_b_.get()},
+      mcfs->config_.engine);
 
   if (mcfs->config_.enable_memory_model) {
     mcfs->memory_ = std::make_unique<mc::MemoryModel>(&mcfs->clock_,
@@ -185,8 +184,8 @@ std::string McfsReport::Summary() const {
   return out.str();
 }
 
-void AttachOracleTally(const NWaySyscallEngine& engine, McfsReport* report) {
-  if (!engine.oracle_index().has_value()) return;
+void AttachOracleTally(const SyscallEngine& engine, McfsReport* report) {
+  if (!engine.options().oracle_index.has_value()) return;
   report->oracle_disagreements.clear();
   for (std::size_t i = 0; i < engine.fs_count(); ++i) {
     report->oracle_disagreements.emplace_back(

@@ -39,7 +39,7 @@ struct McfsReport {
   std::uint64_t remounts_a = 0;
   std::uint64_t remounts_b = 0;
   std::string trace_text;       // tail of the operation trace
-  // Oracle-mode N-way runs: per-member (name, times-disagreed-with-the-
+  // Oracle-mode panel runs: per-member (name, times-disagreed-with-the-
   // spec) tally. Empty unless filled via AttachOracleTally.
   std::vector<std::pair<std::string, std::uint64_t>> oracle_disagreements;
 
@@ -73,12 +73,10 @@ class Mcfs {
   std::unique_ptr<SyscallEngine> engine_;
 };
 
-class NWaySyscallEngine;
-
-// Copies an oracle-mode N-way engine's per-member oracle-disagreement
+// Copies an oracle-mode engine's per-member oracle-disagreement
 // tally into `report` so McfsReport::Summary surfaces it next to the
 // exploration stats. No-op when the engine has no oracle configured.
-void AttachOracleTally(const NWaySyscallEngine& engine, McfsReport* report);
+void AttachOracleTally(const SyscallEngine& engine, McfsReport* report);
 
 // Adapter so a whole Mcfs instance can serve as one swarm worker.
 class McfsSwarmInstance final : public mc::SwarmInstance {

@@ -238,11 +238,6 @@ class InvalLog {
 
   std::size_t record_count() const { return records_.size(); }
 
-  void Reset() {
-    records_.clear();
-    base_ = 0;
-  }
-
  private:
   std::vector<InvalRecord> records_;
   std::uint64_t base_ = 0;

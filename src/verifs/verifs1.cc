@@ -19,7 +19,8 @@ std::string CanonicalPath(const std::string& path) {
 
 }  // namespace
 
-Verifs1::Verifs1(Verifs1Options options) : options_(std::move(options)) {}
+Verifs1::Verifs1(Verifs1Options options)
+    : options_(std::move(options)), cow_(options_.cow_snapshots) {}
 
 // ---------------------------------------------------------------------------
 // Lifecycle
@@ -37,7 +38,7 @@ Status Verifs1::Mkfs() {
   root.parent = kRootIndex;
   // Snapshots taken before this reformat can no longer be restored via
   // the O(dirty) log; force them onto the full-invalidation path.
-  inval_log_.Overflow();
+  cow_.OverflowLog();
   return Status::Ok();
 }
 
@@ -172,7 +173,7 @@ Status Verifs1::Mkdir(const std::string& path, fs::Mode mode) {
     // the errno is right, the state one hop up is not.
     if (options_.bugs.mkdir_eexist_chowns_parent) {
       inodes_.Mut(parent_index).gid += 1;
-      LogInode(parent_index);
+      cow_.LogInode(parent_index);
     }
     // Mutant: the "already exists" case mapped to the wrong errno.
     return options_.bugs.mkdir_eexist_as_enoent ? Errno::kENOENT
@@ -192,8 +193,8 @@ Status Verifs1::Mkdir(const std::string& path, fs::Mode mode) {
   child.parent = parent_index;
   pnode.children[parent.value().name] = slot.value();
   pnode.mtime_ns = NowNs();
-  LogEntry(CanonicalPath(path), slot.value());
-  LogInode(parent_index);
+  cow_.LogEntry(CanonicalPath(path), slot.value());
+  cow_.LogInode(parent_index);
   return Status::Ok();
 }
 
@@ -229,16 +230,14 @@ Status Verifs1::Rmdir(const std::string& path) {
   // enter the log (and every descendant inode) or a later O(dirty)
   // restore would leave stale cache entries for them.
   if (!inodes_.Get(victim_index).children.empty()) {
-    std::vector<std::string> sub;
-    CollectPathsRec(victim_index, canonical, &sub);
-    for (const auto& p : sub) inval_log_.Append(p, fs::kInvalidInode);
+    cow_.LogSubtree(inodes_, victim_index, canonical);
   }
   Inode& pnode = inodes_.Mut(parent_index);
   inodes_.Mut(victim_index) = Inode{};  // marks the slot unused
   pnode.children.erase(parent.value().name);
   pnode.mtime_ns = NowNs();
-  LogEntry(canonical, victim_index);
-  LogInode(parent_index);
+  cow_.LogEntry(canonical, victim_index);
+  cow_.LogInode(parent_index);
   return Status::Ok();
 }
 
@@ -262,8 +261,8 @@ Status Verifs1::Unlink(const std::string& path) {
   inodes_.Mut(victim_index) = Inode{};
   pnode.children.erase(parent.value().name);
   pnode.mtime_ns = NowNs();
-  LogEntry(CanonicalPath(path), victim_index);
-  LogInode(parent_index);
+  cow_.LogEntry(CanonicalPath(path), victim_index);
+  cow_.LogInode(parent_index);
   return Status::Ok();
 }
 
@@ -280,7 +279,7 @@ Result<std::vector<fs::DirEntry>> Verifs1::ReadDir(const std::string& path) {
   }
   Inode& inode = inodes_.Mut(index.value());
   inode.atime_ns = NowNs();
-  LogInode(index.value());  // atime moved: the cached attr is stale
+  cow_.LogInode(index.value());  // atime moved: the cached attr is stale
   std::vector<fs::DirEntry> out;
   out.reserve(inode.children.size());
   for (const auto& [name, child] : inode.children) {
@@ -324,8 +323,8 @@ Result<fs::FileHandle> Verifs1::Open(const std::string& path,
     child.parent = parent_index;
     pnode.children[parent.value().name] = slot.value();
     pnode.mtime_ns = NowNs();
-    LogEntry(CanonicalPath(path), slot.value());
-    LogInode(parent_index);
+    cow_.LogEntry(CanonicalPath(path), slot.value());
+    cow_.LogInode(parent_index);
     ino_index = slot.value();
   } else {
     if (flags & fs::kCreate && flags & fs::kExcl) return Errno::kEEXIST;
@@ -350,7 +349,7 @@ Result<fs::FileHandle> Verifs1::Open(const std::string& path,
       Inode& winode = inodes_.Mut(ino_index);
       SetFileSize(winode, 0, /*zero_growth=*/true);
       winode.mtime_ns = NowNs();
-      LogInode(ino_index);
+      cow_.LogInode(ino_index);
     }
   }
   const fs::FileHandle fh = next_handle_++;
@@ -374,7 +373,7 @@ Result<Bytes> Verifs1::Read(fs::FileHandle fh, std::uint64_t offset,
   Inode& inode = inodes_.Mut(it->second.ino_index);
   if (inode.type == fs::FileType::kDirectory) return Errno::kEISDIR;
   inode.atime_ns = NowNs();
-  LogInode(it->second.ino_index);
+  cow_.LogInode(it->second.ino_index);
   if (offset >= inode.size) return Bytes{};
   const std::uint64_t n = std::min(size, inode.size - offset);
   return inode.buf.ReadBytes(offset, n);
@@ -402,7 +401,7 @@ Result<std::uint64_t> Verifs1::Write(fs::FileHandle fh, std::uint64_t offset,
   if (offset + data.size() > inode.size) inode.size = offset + data.size();
   inode.mtime_ns = NowNs();
   inode.ctime_ns = inode.mtime_ns;
-  LogInode(it->second.ino_index);
+  cow_.LogInode(it->second.ino_index);
   return data.size();
 }
 
@@ -428,7 +427,7 @@ Status Verifs1::Truncate(const std::string& path, std::uint64_t size) {
               /*zero_growth=*/!options_.bugs.truncate_no_zero_on_expand);
   inode.mtime_ns = NowNs();
   inode.ctime_ns = inode.mtime_ns;
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -457,7 +456,7 @@ Status Verifs1::Chmod(const std::string& path, fs::Mode mode) {
                      : static_cast<fs::Mode>(mode & fs::kModeMask);
   }
   inode.ctime_ns = NowNs();
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -470,7 +469,7 @@ Status Verifs1::Chown(const std::string& path, std::uint32_t uid,
   inode.uid = uid;
   inode.gid = gid;
   inode.ctime_ns = NowNs();
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -609,191 +608,23 @@ void Verifs1::DropOneInodeAfterRestore() {
     inodes_.Mut(i) = Inode{};
     // The vanished inode is a post-restore mutation like any other: log
     // it so forward restores and this restore's own invalidation see it.
-    LogEntry(path, i);
-    LogInode(parent_index);
+    cow_.LogEntry(path, i);
+    cow_.LogInode(parent_index);
     return;
   }
 }
 
-void Verifs1::CollectPathsRec(std::uint32_t index, const std::string& prefix,
-                              std::vector<std::string>* out) const {
-  const Inode& inode = inodes_.Get(index);
-  for (const auto& [name, child] : inode.children) {
-    const std::string path = prefix == "/" ? "/" + name : prefix + "/" + name;
-    out->push_back(path);
-    if (inodes_.Get(child).type == fs::FileType::kDirectory) {
-      CollectPathsRec(child, path, out);
-    }
-  }
-}
-
-std::vector<std::string> Verifs1::CollectAllPaths() const {
-  std::vector<std::string> out;
-  if (inodes_.size() != 0) CollectPathsRec(kRootIndex, "/", &out);
-  return out;
-}
-
-std::vector<fs::InodeNum> Verifs1::CollectUsedInos() const {
-  std::vector<fs::InodeNum> inos;
-  for (std::uint32_t i = 0; i < inodes_.size(); ++i) {
-    if (inodes_.Get(i).used) inos.push_back(static_cast<fs::InodeNum>(i + 1));
-  }
-  return inos;
-}
-
-void Verifs1::InvalidateKernelCaches(
-    const std::vector<std::string>& extra_paths,
-    const std::vector<fs::InodeNum>& extra_inos) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths = CollectAllPaths();
-  paths.insert(paths.end(), extra_paths.begin(), extra_paths.end());
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  for (const auto& path : paths) {
-    notifier_->InvalEntry(fs::ParentPath(path), fs::Basename(path));
-  }
-  std::vector<fs::InodeNum> inos = CollectUsedInos();
-  inos.insert(inos.end(), extra_inos.begin(), extra_inos.end());
-  std::sort(inos.begin(), inos.end());
-  inos.erase(std::unique(inos.begin(), inos.end()), inos.end());
-  for (fs::InodeNum ino : inos) {
-    notifier_->InvalInode(ino);
-  }
-}
-
-void Verifs1::EmitInvalRecords(const std::vector<InvalRecord>& records) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths;
-  std::vector<fs::InodeNum> inos;
-  for (const InvalRecord& rec : records) {
-    if (!rec.path.empty()) paths.push_back(rec.path);
-    if (rec.ino != fs::kInvalidInode) inos.push_back(rec.ino);
-  }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  for (const auto& path : paths) {
-    notifier_->InvalEntry(fs::ParentPath(path), fs::Basename(path));
-  }
-  std::sort(inos.begin(), inos.end());
-  inos.erase(std::unique(inos.begin(), inos.end()), inos.end());
-  for (fs::InodeNum ino : inos) {
-    notifier_->InvalInode(ino);
-  }
-}
-
-void Verifs1::CompactInvalLog() {
-  if (inval_log_.record_count() <= kMaxInvalRecords) return;
-  std::uint64_t min_pos = inval_log_.End();
-  for (const auto& [id, snap] : pool_.entries()) {
-    if (!snap.deep) min_pos = std::min(min_pos, snap.inval_pos);
-  }
-  inval_log_.TrimBelow(min_pos);
-  // Still over the cap: some snapshot is ancient. Overflow and let its
-  // eventual restore take the full-invalidation path.
-  if (inval_log_.record_count() > kMaxInvalRecords) inval_log_.Overflow();
-}
-
-Result<fs::SnapshotId> Verifs1::Checkpoint() {
-  if (!mounted_) return Errno::kEINVAL;
-  CompactInvalLog();
-  // Lock, capture, unlock (paper §5). Single-threaded here, so "lock"
-  // is implicit. COW capture is O(#chunks) pointer copies.
-  Snapshot snap;
-  if (options_.cow_snapshots) {
-    snap.root = inodes_.Snapshot();
-    snap.op_counter = op_counter_;
-    snap.inval_pos = inval_log_.End();
-  } else {
-    snap.deep = true;
-    snap.deep_image = SerializeState();
-  }
-  return pool_.Add(std::move(snap));
-}
-
-Status Verifs1::Restore(fs::SnapshotId id) {
-  if (!mounted_) return Errno::kEINVAL;
-  const Snapshot* snap = pool_.Find(id);
-  if (snap == nullptr) return Errno::kENOENT;
-
-  if (snap->deep || !inval_log_.Covers(snap->inval_pos)) {
-    // Full-state path: deep-copy snapshots, or COW snapshots whose log
-    // prefix was trimmed/overflowed. Remember the namespace that is
-    // about to disappear: its entries and inodes must be invalidated in
-    // the kernel too.
-    std::vector<std::string> pre_paths = CollectAllPaths();
-    std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-    if (snap->deep) {
-      DeserializeState(snap->deep_image);
-    } else {
-      inodes_.Restore(snap->root);
-      op_counter_ = snap->op_counter;
-    }
-    if (options_.bugs.restore_skips_one_inode) DropOneInodeAfterRestore();
-    open_files_.clear();  // handles do not survive a state rollback
-    // This rollback is untracked, so positions before it can no longer
-    // bound their dirty set; every older snapshot falls back here too.
-    inval_log_.Overflow();
-    if (!options_.bugs.skip_cache_invalidation_on_restore) {
-      // The fix for historical bug #2: notify the kernel so its dentry
-      // and inode caches drop entries from the abandoned timeline.
-      InvalidateKernelCaches(pre_paths, pre_inos);
-    }
-    return Status::Ok();
-  }
-
-  // O(dirty) path: the records written since the snapshot was taken are
-  // exactly where the abandoned timeline and the restored one differ.
-  std::vector<InvalRecord> tail = inval_log_.Since(snap->inval_pos);
-  DedupInvalRecords(tail);
-  inodes_.Restore(snap->root);
-  op_counter_ = snap->op_counter;
-  open_files_.clear();
-  if (options_.bugs.restore_skips_one_inode) DropOneInodeAfterRestore();
-  // Re-log the undone mutations: a later restore FORWARD to a snapshot
-  // taken on the abandoned branch must still invalidate them. With no
-  // live snapshot positioned after this one, no such forward restore
-  // can happen, and skipping the re-append keeps the log flat across
-  // a backtracking walk's op/restore/op/restore bouncing.
-  if (AnyCowSnapshotAfter(pool_.entries(), snap->inval_pos)) {
-    inval_log_.ReAppend(tail);
-    CompactInvalLog();
-  } else {
-    // No one can restore forward past this position: rewind the log to
-    // it so repeated bounces off one snapshot stay O(dirty).
-    inval_log_.TruncateTo(snap->inval_pos);
-  }
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    EmitInvalRecords(tail);
-  }
-  return Status::Ok();
-}
-
-Status Verifs1::Discard(fs::SnapshotId id) {
-  Status s = pool_.Discard(id);
-  if (s.ok()) CompactInvalLog();
-  return s;
-}
-
-fs::SnapshotStats Verifs1::Stats() const {
-  return ComputeSnapshotStats<Inode>(
-      pool_.entries(), inodes_.Snapshot(), [](const Inode& inode) {
-        std::uint64_t extra = 0;
-        for (const auto& [name, child] : inode.children) {
-          extra += name.size() + 32;  // map-node overhead estimate
-        }
-        return extra;
-      });
-}
-
-void Verifs1::ImportState(ByteView state) {
-  std::vector<std::string> pre_paths = CollectAllPaths();
-  std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-  DeserializeState(state);
-  open_files_.clear();
-  inval_log_.Overflow();  // untracked rollback, same as a deep restore
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    InvalidateKernelCaches(pre_paths, pre_inos);
-  }
+CowCheckpointer<Verifs1::Inode>::Host Verifs1::CowHost() {
+  return {inodes_,
+          op_counter_,
+          mounted_,
+          options_.bugs.skip_cache_invalidation_on_restore,
+          [this] { return SerializeState(); },
+          [this](ByteView state) { DeserializeState(state); },
+          [this] { open_files_.clear(); },
+          options_.bugs.restore_skips_one_inode
+              ? std::function<void()>([this] { DropOneInodeAfterRestore(); })
+              : nullptr};
 }
 
 }  // namespace mcfs::verifs

@@ -53,7 +53,9 @@ class Verifs1 : public fs::FileSystem, public fs::CheckpointableFs {
   explicit Verifs1(Verifs1Options options = {});
 
   // Wires the kernel-cache invalidation callbacks used on restore.
-  void SetNotifier(fs::KernelNotifier* notifier) { notifier_ = notifier; }
+  void SetNotifier(fs::KernelNotifier* notifier) {
+    cow_.set_notifier(notifier);
+  }
 
   // FileSystem.
   Status Mkfs() override;
@@ -91,16 +93,22 @@ class Verifs1 : public fs::FileSystem, public fs::CheckpointableFs {
   // CheckpointableFs: first-class snapshot handles. Restore preserves
   // the snapshot; the keyed Ioctl* shims from the base class keep the
   // paper's consuming ioctl semantics on top of these.
-  Result<fs::SnapshotId> Checkpoint() override;
-  Status Restore(fs::SnapshotId id) override;
-  Status Discard(fs::SnapshotId id) override;
-  fs::SnapshotStats Stats() const override;
+  Result<fs::SnapshotId> Checkpoint() override {
+    return cow_.Checkpoint(CowHost());
+  }
+  Status Restore(fs::SnapshotId id) override {
+    return cow_.Restore(CowHost(), id);
+  }
+  Status Discard(fs::SnapshotId id) override { return cow_.Discard(id); }
+  fs::SnapshotStats Stats() const override {
+    return cow_.Stats(inodes_, [](const Inode&) { return std::uint64_t{0}; });
+  }
 
   // Raw state export/import — what a process- or VM-level snapshotter
   // captures (the daemon's memory image). Import behaves like a restore,
   // including kernel-cache invalidation.
   Bytes ExportState() const { return SerializeState(); }
-  void ImportState(ByteView state);
+  void ImportState(ByteView state) { cow_.ImportState(CowHost(), state); }
 
  protected:
   struct Inode {
@@ -121,7 +129,6 @@ class Verifs1 : public fs::FileSystem, public fs::CheckpointableFs {
     std::uint32_t parent = 0;  // inode index of the containing directory
   };
   using Table = CowTable<Inode>;
-  using Snapshot = CowSnapshot<Inode>;
 
   struct OpenFile {
     std::uint32_t ino_index;
@@ -149,35 +156,11 @@ class Verifs1 : public fs::FileSystem, public fs::CheckpointableFs {
   // VM/CRIU snapshotters).
   Bytes SerializeState() const;
   void DeserializeState(ByteView state);
+  // This file system's state and hooks, as the checkpointer sees them.
+  CowCheckpointer<Inode>::Host CowHost();
   // Mutant restore_skips_one_inode: unlinks the highest-numbered
   // non-root inode from the just-restored image.
   void DropOneInodeAfterRestore();
-  // Emits InvalEntry/InvalInode for everything in the current namespace
-  // plus the pre-restore paths/inodes handed in (entries from the
-  // abandoned timeline must be dropped too, or slot reuse resurrects
-  // them as stale cache hits). The full-state fallback; COW restores
-  // use the InvalLog suffix instead.
-  void InvalidateKernelCaches(const std::vector<std::string>& extra_paths,
-                              const std::vector<fs::InodeNum>& extra_inos);
-  std::vector<fs::InodeNum> CollectUsedInos() const;
-  std::vector<std::string> CollectAllPaths() const;
-  void CollectPathsRec(std::uint32_t index, const std::string& prefix,
-                       std::vector<std::string>* out) const;
-
-  // --- invalidation log plumbing (O(dirty) restore) ---
-  // Records a namespace mutation: `path` for the dentry cache plus the
-  // inode (1-based) for the attr cache.
-  void LogEntry(const std::string& path, std::uint32_t ino_index) {
-    inval_log_.Append(path, static_cast<fs::InodeNum>(ino_index) + 1);
-  }
-  // Records an attribute/data-only mutation.
-  void LogInode(std::uint32_t ino_index) {
-    inval_log_.Append({}, static_cast<fs::InodeNum>(ino_index) + 1);
-  }
-  // Emits invalidations for records in [pos, End) after deduping.
-  void EmitInvalRecords(const std::vector<InvalRecord>& records);
-  // Trims the log to the oldest live snapshot, or overflows it.
-  void CompactInvalLog();
   // Full path of an inode via the parent chain (for mutant logging).
   std::string PathOfIndex(std::uint32_t index) const;
 
@@ -187,9 +170,8 @@ class Verifs1 : public fs::FileSystem, public fs::CheckpointableFs {
   std::unordered_map<fs::FileHandle, OpenFile> open_files_;
   fs::FileHandle next_handle_ = 1;
   std::uint64_t op_counter_ = 0;
-  SnapshotPool<Snapshot> pool_;
-  InvalLog inval_log_;
-  fs::KernelNotifier* notifier_ = nullptr;
+  // Snapshot pool + invalidation log (O(dirty) restore).
+  CowCheckpointer<Inode> cow_;
 };
 
 }  // namespace mcfs::verifs

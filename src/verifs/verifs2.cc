@@ -19,7 +19,8 @@ std::string CanonicalPath(const std::string& path) {
 
 }  // namespace
 
-Verifs2::Verifs2(Verifs2Options options) : options_(std::move(options)) {}
+Verifs2::Verifs2(Verifs2Options options)
+    : options_(std::move(options)), cow_(options_.cow_snapshots) {}
 
 // ---------------------------------------------------------------------------
 // Lifecycle
@@ -36,7 +37,7 @@ Status Verifs2::Mkfs() {
   root.gid = options_.identity.gid;
   root.atime_ns = root.mtime_ns = root.ctime_ns = NowNs();
   // Snapshots taken before the reformat fall back to full invalidation.
-  inval_log_.Overflow();
+  cow_.OverflowLog();
   return Status::Ok();
 }
 
@@ -202,8 +203,8 @@ Status Verifs2::Mkdir(const std::string& path, fs::Mode mode) {
   auto child =
       CreateChild(parent.value(), fs::FileType::kDirectory, mode, "");
   if (!child.ok()) return child.error();
-  LogEntry(CanonicalPath(path), child.value());
-  LogInode(parent.value().parent_index);
+  cow_.LogEntry(CanonicalPath(path), child.value());
+  cow_.LogInode(parent.value().parent_index);
   return Status::Ok();
 }
 
@@ -234,8 +235,8 @@ Status Verifs2::Rmdir(const std::string& path) {
   pnode.children.erase(parent.value().name);
   pnode.mtime_ns = NowNs();
   inodes_.Mut(victim) = Inode{};
-  LogEntry(CanonicalPath(path), victim);
-  LogInode(parent_index);
+  cow_.LogEntry(CanonicalPath(path), victim);
+  cow_.LogInode(parent_index);
   return Status::Ok();
 }
 
@@ -263,8 +264,8 @@ Status Verifs2::Unlink(const std::string& path) {
   pnode.children.erase(parent.value().name);
   pnode.mtime_ns = NowNs();
   ReleaseInodeIfUnlinked(victim);  // hard links keep the inode alive
-  LogEntry(CanonicalPath(path), victim);
-  LogInode(parent_index);
+  cow_.LogEntry(CanonicalPath(path), victim);
+  cow_.LogInode(parent_index);
   return Status::Ok();
 }
 
@@ -281,7 +282,7 @@ Result<std::vector<fs::DirEntry>> Verifs2::ReadDir(const std::string& path) {
   }
   Inode& inode = inodes_.Mut(index.value());
   inode.atime_ns = NowNs();
-  LogInode(index.value());  // atime moved: the cached attr is stale
+  cow_.LogInode(index.value());  // atime moved: the cached attr is stale
   std::vector<fs::DirEntry> out;
   out.reserve(inode.children.size());
   for (const auto& [name, child] : inode.children) {
@@ -314,8 +315,8 @@ Result<fs::FileHandle> Verifs2::Open(const std::string& path,
         CreateChild(parent.value(), fs::FileType::kRegular, mode, "");
     if (!child.ok()) return child.error();
     ino_index = child.value();
-    LogEntry(CanonicalPath(path), ino_index);
-    LogInode(parent.value().parent_index);
+    cow_.LogEntry(CanonicalPath(path), ino_index);
+    cow_.LogInode(parent.value().parent_index);
   } else {
     if (flags & fs::kCreate && flags & fs::kExcl) return Errno::kEEXIST;
     ino_index = index.value();
@@ -339,7 +340,7 @@ Result<fs::FileHandle> Verifs2::Open(const std::string& path,
       Inode& winode = inodes_.Mut(ino_index);
       winode.size = 0;  // capacity (buf) is retained
       winode.mtime_ns = NowNs();
-      LogInode(ino_index);
+      cow_.LogInode(ino_index);
     }
   }
   const fs::FileHandle fh = next_handle_++;
@@ -363,7 +364,7 @@ Result<Bytes> Verifs2::Read(fs::FileHandle fh, std::uint64_t offset,
   Inode& inode = inodes_.Mut(it->second.ino_index);
   if (inode.type == fs::FileType::kDirectory) return Errno::kEISDIR;
   inode.atime_ns = NowNs();
-  LogInode(it->second.ino_index);
+  cow_.LogInode(it->second.ino_index);
   if (offset >= inode.size) return Bytes{};
   const std::uint64_t n = std::min(size, inode.size - offset);
   return inode.buf.ReadBytes(offset, n);
@@ -422,7 +423,7 @@ Result<std::uint64_t> Verifs2::Write(fs::FileHandle fh, std::uint64_t offset,
   inode.buf.Write(offset, data);  // no-op for zero-length spans
   inode.mtime_ns = NowNs();
   inode.ctime_ns = inode.mtime_ns;
-  LogInode(it->second.ino_index);
+  cow_.LogInode(it->second.ino_index);
   return data.size();
 }
 
@@ -461,7 +462,7 @@ Status Verifs2::Truncate(const std::string& path, std::uint64_t size) {
   inode.size = size;
   inode.mtime_ns = NowNs();
   inode.ctime_ns = inode.mtime_ns;
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -487,7 +488,7 @@ Status Verifs2::Chmod(const std::string& path, fs::Mode mode) {
                                            (inode.mode & 0070))
                    : static_cast<fs::Mode>(mode & fs::kModeMask);
   inode.ctime_ns = NowNs();
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -500,7 +501,7 @@ Status Verifs2::Chown(const std::string& path, std::uint32_t uid,
   inode.uid = uid;
   inode.gid = gid;
   inode.ctime_ns = NowNs();
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -584,16 +585,14 @@ Status Verifs2::Rename(const std::string& from, const std::string& to) {
   // prefixes enter the log. The subtree's shape does not change, so it
   // can be walked before the move.
   if (inodes_.Get(moving).type == fs::FileType::kDirectory) {
-    std::vector<std::string> sub;
-    CollectPathsRec(moving, canonical_from, &sub);
-    CollectPathsRec(moving, canonical_to, &sub);
-    for (const auto& p : sub) inval_log_.Append(p, fs::kInvalidInode);
+    cow_.LogSubtree(inodes_, moving, canonical_from);
+    cow_.LogSubtree(inodes_, moving, canonical_to);
   }
 
   if (have_victim) {
     inodes_.Mut(dst_index).children.erase(dst.value().name);
     ReleaseInodeIfUnlinked(victim);
-    LogInode(victim);  // nlink dropped (or the inode vanished)
+    cow_.LogInode(victim);  // nlink dropped (or the inode vanished)
   }
 
   Inode& src_parent = inodes_.Mut(src_index);
@@ -605,10 +604,10 @@ Status Verifs2::Rename(const std::string& from, const std::string& to) {
   const std::uint64_t t = NowNs();
   src_parent.mtime_ns = t;
   dst_parent.mtime_ns = t;
-  LogEntry(canonical_from, moving);
-  LogEntry(canonical_to, moving);
-  LogInode(src_index);
-  LogInode(dst_index);
+  cow_.LogEntry(canonical_from, moving);
+  cow_.LogEntry(canonical_to, moving);
+  cow_.LogInode(src_index);
+  cow_.LogInode(dst_index);
   return Status::Ok();
 }
 
@@ -636,8 +635,8 @@ Status Verifs2::Link(const std::string& existing, const std::string& link) {
   parent.children[dst.value().name] = src.value();
   parent.mtime_ns = NowNs();
   inodes_.Mut(src.value()).ctime_ns = NowNs();
-  LogEntry(CanonicalPath(link), src.value());
-  LogInode(parent_index);
+  cow_.LogEntry(CanonicalPath(link), src.value());
+  cow_.LogInode(parent_index);
   return Status::Ok();
 }
 
@@ -653,8 +652,8 @@ Status Verifs2::Symlink(const std::string& target, const std::string& link) {
   auto child =
       CreateChild(parent.value(), fs::FileType::kSymlink, 0777, stored);
   if (!child.ok()) return child.error();
-  LogEntry(CanonicalPath(link), child.value());
-  LogInode(parent.value().parent_index);
+  cow_.LogEntry(CanonicalPath(link), child.value());
+  cow_.LogInode(parent.value().parent_index);
   return Status::Ok();
 }
 
@@ -686,7 +685,7 @@ Status Verifs2::SetXattr(const std::string& path, const std::string& name,
   Inode& inode = inodes_.Mut(index.value());
   inode.xattrs[name] = Bytes(value.begin(), value.end());
   inode.ctime_ns = NowNs();
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -723,7 +722,7 @@ Status Verifs2::RemoveXattr(const std::string& path,
   Inode& inode = inodes_.Mut(index.value());
   inode.xattrs.erase(name);
   inode.ctime_ns = NowNs();
-  LogInode(index.value());
+  cow_.LogInode(index.value());
   return Status::Ok();
 }
 
@@ -794,176 +793,25 @@ void Verifs2::DeserializeState(ByteView state) {
   op_counter_ = r.GetU64();
 }
 
-void Verifs2::CollectPathsRec(std::uint32_t index, const std::string& prefix,
-                              std::vector<std::string>* out) const {
-  const Inode& inode = inodes_.Get(index);
-  for (const auto& [name, child] : inode.children) {
-    const std::string path = prefix == "/" ? "/" + name : prefix + "/" + name;
-    out->push_back(path);
-    if (inodes_.Get(child).type == fs::FileType::kDirectory) {
-      CollectPathsRec(child, path, out);
-    }
-  }
-}
-
-std::vector<std::string> Verifs2::CollectAllPaths() const {
-  std::vector<std::string> out;
-  if (inodes_.size() != 0) CollectPathsRec(kRootIndex, "/", &out);
-  return out;
-}
-
-std::vector<fs::InodeNum> Verifs2::CollectUsedInos() const {
-  std::vector<fs::InodeNum> inos;
-  for (std::uint32_t i = 0; i < inodes_.size(); ++i) {
-    if (inodes_.Get(i).used) inos.push_back(static_cast<fs::InodeNum>(i + 1));
-  }
-  return inos;
-}
-
-void Verifs2::InvalidateKernelCaches(
-    const std::vector<std::string>& extra_paths,
-    const std::vector<fs::InodeNum>& extra_inos) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths = CollectAllPaths();
-  paths.insert(paths.end(), extra_paths.begin(), extra_paths.end());
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  for (const auto& path : paths) {
-    notifier_->InvalEntry(fs::ParentPath(path), fs::Basename(path));
-  }
-  std::vector<fs::InodeNum> inos = CollectUsedInos();
-  inos.insert(inos.end(), extra_inos.begin(), extra_inos.end());
-  std::sort(inos.begin(), inos.end());
-  inos.erase(std::unique(inos.begin(), inos.end()), inos.end());
-  for (fs::InodeNum ino : inos) {
-    notifier_->InvalInode(ino);
-  }
-}
-
-void Verifs2::EmitInvalRecords(const std::vector<InvalRecord>& records) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths;
-  std::vector<fs::InodeNum> inos;
-  for (const InvalRecord& rec : records) {
-    if (!rec.path.empty()) paths.push_back(rec.path);
-    if (rec.ino != fs::kInvalidInode) inos.push_back(rec.ino);
-  }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  for (const auto& path : paths) {
-    notifier_->InvalEntry(fs::ParentPath(path), fs::Basename(path));
-  }
-  std::sort(inos.begin(), inos.end());
-  inos.erase(std::unique(inos.begin(), inos.end()), inos.end());
-  for (fs::InodeNum ino : inos) {
-    notifier_->InvalInode(ino);
-  }
-}
-
-void Verifs2::CompactInvalLog() {
-  if (inval_log_.record_count() <= kMaxInvalRecords) return;
-  std::uint64_t min_pos = inval_log_.End();
-  for (const auto& [id, snap] : pool_.entries()) {
-    if (!snap.deep) min_pos = std::min(min_pos, snap.inval_pos);
-  }
-  inval_log_.TrimBelow(min_pos);
-  // Still over the cap: some snapshot is ancient. Overflow and let its
-  // eventual restore take the full-invalidation path.
-  if (inval_log_.record_count() > kMaxInvalRecords) inval_log_.Overflow();
-}
-
-Result<fs::SnapshotId> Verifs2::Checkpoint() {
-  if (!mounted_) return Errno::kEINVAL;
-  CompactInvalLog();
-  Snapshot snap;
-  if (options_.cow_snapshots) {
-    snap.root = inodes_.Snapshot();
-    snap.op_counter = op_counter_;
-    snap.inval_pos = inval_log_.End();
-  } else {
-    snap.deep = true;
-    snap.deep_image = SerializeState();
-  }
-  return pool_.Add(std::move(snap));
-}
-
-Status Verifs2::Restore(fs::SnapshotId id) {
-  if (!mounted_) return Errno::kEINVAL;
-  const Snapshot* snap = pool_.Find(id);
-  if (snap == nullptr) return Errno::kENOENT;
-
-  if (snap->deep || !inval_log_.Covers(snap->inval_pos)) {
-    // Full-state path: deep-copy snapshots, or COW snapshots whose log
-    // prefix was trimmed/overflowed (see verifs1.cc).
-    std::vector<std::string> pre_paths = CollectAllPaths();
-    std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-    if (snap->deep) {
-      DeserializeState(snap->deep_image);
-    } else {
-      inodes_.Restore(snap->root);
-      op_counter_ = snap->op_counter;
-    }
-    open_files_.clear();
-    inval_log_.Overflow();
-    if (!options_.bugs.skip_cache_invalidation_on_restore) {
-      InvalidateKernelCaches(pre_paths, pre_inos);
-    }
-    return Status::Ok();
-  }
-
-  // O(dirty) path: invalidate exactly the deduped records written since
-  // the snapshot. The re-append keeps forward restores sound but is
-  // only needed while a later-positioned snapshot is live — skipping it
-  // otherwise keeps the log flat across backtracking walks (see
-  // verifs1.cc).
-  std::vector<InvalRecord> tail = inval_log_.Since(snap->inval_pos);
-  DedupInvalRecords(tail);
-  inodes_.Restore(snap->root);
-  op_counter_ = snap->op_counter;
-  open_files_.clear();
-  if (AnyCowSnapshotAfter(pool_.entries(), snap->inval_pos)) {
-    inval_log_.ReAppend(tail);
-    CompactInvalLog();
-  } else {
-    // No one can restore forward past this position: rewind the log to
-    // it so repeated bounces off one snapshot stay O(dirty).
-    inval_log_.TruncateTo(snap->inval_pos);
-  }
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    EmitInvalRecords(tail);
-  }
-  return Status::Ok();
-}
-
-Status Verifs2::Discard(fs::SnapshotId id) {
-  Status s = pool_.Discard(id);
-  if (s.ok()) CompactInvalLog();
-  return s;
+CowCheckpointer<Verifs2::Inode>::Host Verifs2::CowHost() {
+  return {inodes_,
+          op_counter_,
+          mounted_,
+          options_.bugs.skip_cache_invalidation_on_restore,
+          [this] { return SerializeState(); },
+          [this](ByteView state) { DeserializeState(state); },
+          [this] { open_files_.clear(); },
+          nullptr};
 }
 
 fs::SnapshotStats Verifs2::Stats() const {
-  return ComputeSnapshotStats<Inode>(
-      pool_.entries(), inodes_.Snapshot(), [](const Inode& inode) {
-        std::uint64_t extra = 0;
-        for (const auto& [name, child] : inode.children) {
-          extra += name.size() + 32;  // map-node overhead estimate
-        }
-        for (const auto& [name, value] : inode.xattrs) {
-          extra += name.size() + value.size() + 32;
-        }
-        return extra;
-      });
-}
-
-void Verifs2::ImportState(ByteView state) {
-  std::vector<std::string> pre_paths = CollectAllPaths();
-  std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-  DeserializeState(state);
-  open_files_.clear();
-  inval_log_.Overflow();  // untracked rollback, same as a deep restore
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    InvalidateKernelCaches(pre_paths, pre_inos);
-  }
+  return cow_.Stats(inodes_, [](const Inode& inode) {
+    std::uint64_t extra = 0;
+    for (const auto& [name, value] : inode.xattrs) {
+      extra += name.size() + value.size() + 32;
+    }
+    return extra;
+  });
 }
 
 }  // namespace mcfs::verifs

@@ -41,7 +41,9 @@ class Verifs2 final : public fs::FileSystem, public fs::CheckpointableFs {
  public:
   explicit Verifs2(Verifs2Options options = {});
 
-  void SetNotifier(fs::KernelNotifier* notifier) { notifier_ = notifier; }
+  void SetNotifier(fs::KernelNotifier* notifier) {
+    cow_.set_notifier(notifier);
+  }
 
   // FileSystem.
   Status Mkfs() override;
@@ -87,14 +89,18 @@ class Verifs2 final : public fs::FileSystem, public fs::CheckpointableFs {
 
   // CheckpointableFs: first-class snapshot handles; the keyed Ioctl*
   // shims from the base class provide the paper's consuming semantics.
-  Result<fs::SnapshotId> Checkpoint() override;
-  Status Restore(fs::SnapshotId id) override;
-  Status Discard(fs::SnapshotId id) override;
+  Result<fs::SnapshotId> Checkpoint() override {
+    return cow_.Checkpoint(CowHost());
+  }
+  Status Restore(fs::SnapshotId id) override {
+    return cow_.Restore(CowHost(), id);
+  }
+  Status Discard(fs::SnapshotId id) override { return cow_.Discard(id); }
   fs::SnapshotStats Stats() const override;
 
   // Raw state export/import for process/VM snapshotters (see Verifs1).
   Bytes ExportState() const { return SerializeState(); }
-  void ImportState(ByteView state);
+  void ImportState(ByteView state) { cow_.ImportState(CowHost(), state); }
 
  private:
   struct Inode {
@@ -112,7 +118,6 @@ class Verifs2 final : public fs::FileSystem, public fs::CheckpointableFs {
     std::map<std::string, Bytes> xattrs;
   };
   using Table = CowTable<Inode>;
-  using Snapshot = CowSnapshot<Inode>;
 
   struct OpenFile {
     std::uint32_t ino_index;
@@ -140,22 +145,8 @@ class Verifs2 final : public fs::FileSystem, public fs::CheckpointableFs {
 
   Bytes SerializeState() const;
   void DeserializeState(ByteView state);
-  void CollectPathsRec(std::uint32_t index, const std::string& prefix,
-                       std::vector<std::string>* out) const;
-  std::vector<std::string> CollectAllPaths() const;
-  std::vector<fs::InodeNum> CollectUsedInos() const;
-  void InvalidateKernelCaches(const std::vector<std::string>& extra_paths,
-                              const std::vector<fs::InodeNum>& extra_inos);
-
-  // --- invalidation log plumbing (O(dirty) restore), as in Verifs1 ---
-  void LogEntry(const std::string& path, std::uint32_t ino_index) {
-    inval_log_.Append(path, static_cast<fs::InodeNum>(ino_index) + 1);
-  }
-  void LogInode(std::uint32_t ino_index) {
-    inval_log_.Append({}, static_cast<fs::InodeNum>(ino_index) + 1);
-  }
-  void EmitInvalRecords(const std::vector<InvalRecord>& records);
-  void CompactInvalLog();
+  // This file system's state and hooks, as the checkpointer sees them.
+  CowCheckpointer<Inode>::Host CowHost();
 
   Verifs2Options options_;
   bool mounted_ = false;
@@ -163,9 +154,8 @@ class Verifs2 final : public fs::FileSystem, public fs::CheckpointableFs {
   std::unordered_map<fs::FileHandle, OpenFile> open_files_;
   fs::FileHandle next_handle_ = 1;
   std::uint64_t op_counter_ = 0;
-  SnapshotPool<Snapshot> pool_;
-  InvalLog inval_log_;
-  fs::KernelNotifier* notifier_ = nullptr;
+  // Snapshot pool + invalidation log (O(dirty) restore), as in Verifs1.
+  CowCheckpointer<Inode> cow_;
 };
 
 }  // namespace mcfs::verifs

@@ -455,7 +455,7 @@ TEST(CowEngineTest, CountersTrackLiveAndPeakSnapshots) {
   auto b = core::FsUnderTest::Create(cb, nullptr);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  core::SyscallEngine engine(*a.value(), *b.value(), {});
+  core::SyscallEngine engine({a.value().get(), b.value().get()}, {});
 
   auto s1 = engine.SaveConcrete();
   ASSERT_TRUE(s1.ok());

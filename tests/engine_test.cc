@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "mcfs/equalize.h"
+#include "mcfs/harness.h"
 #include "mcfs/syscall_engine.h"
 
 namespace mcfs::core {
@@ -33,8 +34,8 @@ EnginePair MakePair(FsKind ka, FsKind kb, EngineOptions options = {}) {
   EXPECT_TRUE(b.ok());
   pair.a = std::move(a).value();
   pair.b = std::move(b).value();
-  pair.engine =
-      std::make_unique<SyscallEngine>(*pair.a, *pair.b, options);
+  pair.engine = std::make_unique<SyscallEngine>(
+      std::vector<FsUnderTest*>{pair.a.get(), pair.b.get()}, options);
   return pair;
 }
 
@@ -130,6 +131,49 @@ TEST(EngineTest, SaveRestoreContractAcrossStrategies) {
     ASSERT_TRUE(pair.engine->DiscardConcrete(snap.value()).ok());
     EXPECT_FALSE(pair.engine->RestoreConcrete(snap.value()).ok());
   }
+}
+
+TEST(EngineTest, DiscardDropsEveryMemberEvenWhenOneFails) {
+  // A member whose snapshot is already gone must not strand the other
+  // members' snapshots, nor skip the pool accounting.
+  EnginePair pair = MakePair(FsKind::kVerifs1, FsKind::kVerifs2);
+  auto snap = pair.engine->SaveConcrete();
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(pair.a->DiscardState(snap.value()).ok());
+
+  const Status s = pair.engine->DiscardConcrete(snap.value());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error(), Errno::kENOENT);
+  EXPECT_EQ(pair.b->StateStats().count, 0u);
+  EXPECT_EQ(pair.engine->counters().snapshots_live, 0u);
+}
+
+TEST(EngineTest, PairFindsABugWithoutNamingASuspect) {
+  // Two members always tie for the largest group: the pair reports that
+  // they disagree, in the paper's "A vs B" form, and blames neither.
+  McfsConfig config;
+  config.fs_a.kind = FsKind::kVerifs1;
+  config.fs_a.strategy = StateStrategy::kIoctl;
+  config.fs_b.kind = FsKind::kVerifs2;
+  config.fs_b.strategy = StateStrategy::kIoctl;
+  config.fs_b.bugs.size_update_only_on_capacity_growth = true;
+  config.explore.max_operations = 20'000;
+  config.explore.max_depth = 8;
+  auto mcfs = Mcfs::Create(config);
+  ASSERT_TRUE(mcfs.ok());
+  const McfsReport report = mcfs.value()->Run();
+  ASSERT_TRUE(report.stats.violation_found);
+
+  const std::string& text = report.stats.violation_report;
+  const bool outcome_form =
+      text.ends_with(" (" + mcfs.value()->fs_a().name() + " vs " +
+                     mcfs.value()->fs_b().name() + ")");
+  const bool state_form = text.starts_with(
+      "state divergence: abstract states differ (" +
+      mcfs.value()->fs_a().name() + "=");
+  EXPECT_TRUE(outcome_form || state_form) << text;
+  EXPECT_EQ(mcfs.value()->engine().suspicion_counts(),
+            (std::vector<std::uint64_t>{0, 0}));
 }
 
 TEST(EngineTest, ConcreteStateBytesArePositive) {

@@ -13,7 +13,6 @@
 #include "fs/xfs/xfsfs.h"
 #include "mc/explorer.h"
 #include "mcfs/abstraction.h"
-#include "mcfs/nway_engine.h"
 #include "mcfs/syscall_engine.h"
 #include "mcfs/trace.h"
 #include "storage/ram_disk.h"
@@ -324,7 +323,8 @@ EnginePair MakePair(EngineOptions options) {
   EXPECT_TRUE(b.ok());
   pair.a = std::move(a).value();
   pair.b = std::move(b).value();
-  pair.engine = std::make_unique<SyscallEngine>(*pair.a, *pair.b, options);
+  pair.engine = std::make_unique<SyscallEngine>(
+      std::vector<FsUnderTest*>{pair.a.get(), pair.b.get()}, options);
   return pair;
 }
 
@@ -423,7 +423,7 @@ TEST(IncrementalEngine, MountOncePairRefusesTheCache) {
   auto b = FsUnderTest::Create(cb, nullptr);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  SyscallEngine engine(*a.value(), *b.value(), options);
+  SyscallEngine engine({a.value().get(), b.value().get()}, options);
   EXPECT_FALSE(engine.incremental_abstraction());
 }
 
@@ -446,11 +446,11 @@ TEST(IncrementalEngine, NWayPanelAgreesAcrossHeterogeneousFormats) {
     owned.push_back(std::move(fut).value());
     raw.push_back(owned.back().get());
   }
-  NWayOptions options;
+  EngineOptions options;
   options.pool = ParameterPool::Tiny();
   options.abstraction.incremental = true;
   options.abstraction.verify_every_n = 5;
-  NWaySyscallEngine engine(raw, options);
+  SyscallEngine engine(raw, options);
   ASSERT_TRUE(engine.incremental_abstraction());
 
   for (std::size_t i = 0; i < engine.ActionCount(); ++i) {

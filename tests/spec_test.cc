@@ -10,7 +10,7 @@
 //  2. Spec-specific semantics: O(state) snapshot save/restore/discard
 //     round trips, the transcription's error-precedence edge cases, and
 //     the deliberate no-ENOSPC exemption.
-//  3. Oracle voting: NWaySyscallEngine::Vote with an oracle index —
+//  3. Oracle voting: SyscallEngine::Vote with an oracle index —
 //     absolute checking, "spec says majority is wrong", no suspicion
 //     against the oracle — plus an end-to-end oracle-mode engine run.
 //
@@ -23,7 +23,6 @@
 #include "mc/explorer.h"
 #include "mcfs/abstraction.h"
 #include "mcfs/harness.h"
-#include "mcfs/nway_engine.h"
 #include "spec/spec_fs.h"
 #include "storage/ram_disk.h"
 #include "verifs/verifs1.h"
@@ -263,7 +262,7 @@ TEST_F(SpecFsTest, NeverReportsEnospc) {
 }
 
 // ---------------------------------------------------------------------
-// Oracle voting: NWaySyscallEngine::Vote with an oracle index.
+// Oracle voting: SyscallEngine::Vote with an oracle index.
 // ---------------------------------------------------------------------
 
 OpOutcome Outcome(Errno error) {
@@ -287,7 +286,7 @@ TEST(OracleVote, SpecInMinorityFlagsTheMajority) {
       Outcome(Errno::kENOTDIR), Outcome(Errno::kENOTDIR),
       Outcome(Errno::kENOENT)};
   const VoteResult vote =
-      NWaySyscallEngine::Vote(RmdirOp(), outcomes, CheckerOptions{},
+      SyscallEngine::Vote(RmdirOp(), outcomes, CheckerOptions{},
                               /*oracle=*/2);
   EXPECT_FALSE(vote.unanimous);
   EXPECT_TRUE(vote.oracle_overruled_majority);
@@ -305,7 +304,7 @@ TEST(OracleVote, SpecInMajorityAttributesSuspicionNormally) {
       Outcome(Errno::kENOENT), Outcome(Errno::kENOTDIR),
       Outcome(Errno::kENOENT)};
   const VoteResult vote =
-      NWaySyscallEngine::Vote(RmdirOp(), outcomes, CheckerOptions{},
+      SyscallEngine::Vote(RmdirOp(), outcomes, CheckerOptions{},
                               /*oracle=*/2);
   EXPECT_FALSE(vote.unanimous);
   EXPECT_FALSE(vote.oracle_overruled_majority);
@@ -321,7 +320,7 @@ TEST(OracleVote, TwoWayDegeneratesToAbsoluteChecking) {
   const std::vector<OpOutcome> outcomes = {Outcome(Errno::kENOENT),
                                            Outcome(Errno::kENOTDIR)};
   const VoteResult vote =
-      NWaySyscallEngine::Vote(RmdirOp(), outcomes, CheckerOptions{},
+      SyscallEngine::Vote(RmdirOp(), outcomes, CheckerOptions{},
                               /*oracle=*/0);
   EXPECT_FALSE(vote.unanimous);
   EXPECT_EQ(vote.group_of[0], 0);
@@ -337,7 +336,7 @@ TEST(OracleVote, OracleIsNeverASuspect) {
     const std::vector<OpOutcome> outcomes = {
         Outcome(Errno::kENOENT), Outcome(Errno::kENOTDIR),
         Outcome(Errno::kENOTDIR), Outcome(Errno::kENOTDIR)};
-    const VoteResult vote = NWaySyscallEngine::Vote(
+    const VoteResult vote = SyscallEngine::Vote(
         RmdirOp(), outcomes, CheckerOptions{}, oracle);
     EXPECT_FALSE(vote.unanimous);
     EXPECT_EQ(vote.group_of[oracle], 0) << "oracle " << oracle;
@@ -365,9 +364,9 @@ TEST(OracleVote, EngineRunNeverAccruesSuspicionAgainstTheSpec) {
     panel.push_back(owned.back().get());
   }
 
-  NWayOptions options;
+  EngineOptions options;
   options.oracle_index = 0;
-  NWaySyscallEngine engine(panel, options);
+  SyscallEngine engine(panel, options);
 
   mc::ExplorerOptions eopts;
   eopts.max_operations = 5'000;
