@@ -227,20 +227,31 @@ void BM_AbstractionStepIncremental(benchmark::State& state) {
 BENCHMARK(BM_AbstractionStepIncremental)
     ->ArgsProduct({{16, 64, 256}, {256, 4096}, {0, 1, 2}});
 
-void BM_DeviceSnapshotRestore(benchmark::State& state) {
-  storage::RamDisk disk("d", static_cast<std::uint64_t>(state.range(0)),
-                        nullptr);
-  const Bytes snapshot = disk.SnapshotContents();
+// One state save and restore after `range(1)` blocks were written since
+// the last capture (-1 = every block): capture shares blocks, restore
+// swaps block pointers, and each write clones the block it touches.
+void BM_DeviceCaptureRestore(benchmark::State& state) {
+  const auto size = static_cast<std::uint64_t>(state.range(0));
+  const std::uint64_t blocks = size / storage::DeviceImage::kBlockSize;
+  const std::uint64_t dirty = state.range(1) < 0
+                                  ? blocks
+                                  : static_cast<std::uint64_t>(state.range(1));
+  storage::RamDisk disk("d", size, nullptr);
+  const storage::DeviceImage base = disk.Capture();
+  const Bytes byte(1, 0x5a);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(disk.SnapshotContents());
-    benchmark::DoNotOptimize(disk.RestoreContents(snapshot));
+    for (std::uint64_t i = 0; i < dirty; ++i) {
+      benchmark::DoNotOptimize(disk.Write(
+          (i * blocks / dirty) * storage::DeviceImage::kBlockSize, byte));
+    }
+    benchmark::DoNotOptimize(disk.Capture());
+    benchmark::DoNotOptimize(disk.Restore(base));
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 2);
+  state.counters["dirty_blocks"] = static_cast<double>(dirty);
 }
-BENCHMARK(BM_DeviceSnapshotRestore)
-    ->Arg(256 * 1024)
-    ->Arg(16 * 1024 * 1024);
+BENCHMARK(BM_DeviceCaptureRestore)
+    ->ArgsProduct({{256 * 1024, 1024 * 1024, 16 * 1024 * 1024},
+                   {0, 1, 16, -1}});
 
 void BM_Ext2MountCycle(benchmark::State& state) {
   auto disk = std::make_shared<storage::RamDisk>("d", 256 * 1024, nullptr);

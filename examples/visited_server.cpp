@@ -8,13 +8,11 @@
 // credit is arbitrated across every connected worker.
 //
 //   ./visited_server [--listen host:port|unix:/path] [--frontier]
-//                    [--workers N] [--shards N] [--thread-per-conn]
+//                    [--workers N] [--shards N]
 //
-// The default serving model is the epoll reactor (DESIGN.md §7.9): one
-// event-loop thread — or N with --shards — owns every connection, and
-// frontier steal-waits park on a timer instead of a thread.
-// --thread-per-conn restores the legacy one-thread-per-connection
-// model (the connection-scaling baseline in bench_swarm Part 3).
+// The server is an epoll reactor (DESIGN.md §7.9): one event-loop
+// thread — or N with --shards — owns every connection, and frontier
+// steal-waits park on a timer instead of a thread.
 //
 // Prints the bound endpoint (useful with port 0) and serves until
 // SIGINT/SIGTERM.
@@ -53,12 +51,10 @@ int main(int argc, char** argv) {
       workers = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       server_options.reactor_shards = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--thread-per-conn") == 0) {
-      server_options.model = net::ServerOptions::Model::kThreadPerConn;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--listen host:port|unix:/path] [--frontier] "
-                   "[--workers N] [--shards N] [--thread-per-conn]\n",
+                   "[--workers N] [--shards N]\n",
                    argv[0]);
       return 2;
     }
@@ -89,12 +85,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("visited server listening on %s%s (%s, %d thread%s)\n",
+  std::printf("visited server listening on %s%s (reactor, %d thread%s)\n",
               server.endpoint().ToString().c_str(),
               serve_frontier ? " (frontier enabled)" : "",
-              server.options().model == net::ServerOptions::Model::kReactor
-                  ? "reactor"
-                  : "thread-per-conn",
               server.serving_threads(),
               server.serving_threads() == 1 ? "" : "s");
   std::fflush(stdout);

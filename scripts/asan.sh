@@ -18,8 +18,11 @@
 # `scripts/asan.sh -L abstraction` for the digest suite, whose per-4 KB
 # block digests slice and compare read buffers at block boundaries, or
 # `scripts/asan.sh -L fs` for the device and file-system internals suite
-# (storage_test, fs_internals_test), whose jffs2f replay compares and
-# copies flash byte ranges against its checksum memo, or
+# (storage_test, fs_internals_test, device_image_test,
+# hostile_image_test), whose jffs2f replay compares and copies flash
+# byte ranges against its checksum memo, whose block-shared images
+# clone and free refcounted 4 KB blocks, and whose damaged images feed
+# every format's mount and walk, or
 # `scripts/asan.sh -L engine` for the syscall engine's own suites
 # (engine_test, extensions_test), whose pairs and panels save, restore
 # and discard snapshots on every member.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the network-path benchmarks — the conn_scale/* connection-scaling
-# rows (epoll reactor vs thread-per-conn, DESIGN.md §7.9) and the
+# rows (the epoll reactor at 1/4/16/64 workers, DESIGN.md §7.9) and the
 # swarm_remote/* loopback-swarm rows — with machine-readable JSON output
 # so the serving model's throughput can be tracked across PRs. The
 # repo-tracked artifact is BENCH_net.json. Usage:

@@ -31,6 +31,11 @@ Jffs2Fs::~Jffs2Fs() {
 Bytes Jffs2Fs::SerializeInodeNode(InodeNum ino, const InodeRec& rec,
                                   bool tombstone) {
   ByteWriter w;
+  // File data dominates the node; the fixed fields, blob length and
+  // xattr count take 56 bytes. A file rewritten by every write (the
+  // free-space fill) would otherwise regrow and recopy its buffer on
+  // each one.
+  w.Reserve(56 + rec.data.size());
   w.PutU64(ino);
   w.PutU8(tombstone ? 1 : 0);
   w.PutU8(static_cast<std::uint8_t>(rec.type));
@@ -79,6 +84,7 @@ Bytes Jffs2Fs::SerializeRenameNode(InodeNum src_parent,
 
 Bytes Jffs2Fs::FrameNode(NodeType type, std::uint64_t seq, ByteView payload) {
   ByteWriter w;
+  w.Reserve((21 + payload.size() + 3) / 4 * 4);  // header + payload, padded
   w.PutU32(kNodeMagic);
   w.PutU8(static_cast<std::uint8_t>(type));
   w.PutU64(seq);

@@ -120,6 +120,12 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
        config.kind == FsKind::kSpec)) {
     return Errno::kENOTSUP;  // no block device to crash (paper §6)
   }
+  if (config.crashable_device &&
+      config.strategy == StateStrategy::kVmSnapshot) {
+    // The VM image stores the disk as raw bytes, which cannot carry the
+    // recorder's durable image and in-flight journal across a restore.
+    return Errno::kENOTSUP;
+  }
 
   // ---- storage + file system ------------------------------------------
   switch (config.kind) {
@@ -334,8 +340,10 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
     } else {
       storage::BlockDevice* dev = fut->device_.get();
       fut->vm_->RegisterComponent(
-          "disk", [dev]() { return dev->SnapshotContents(); },
-          [dev](ByteView image) { (void)dev->RestoreContents(image); });
+          "disk", [dev]() { return dev->Capture().ToBytes(); },
+          [dev](ByteView image) {
+            (void)dev->Restore(storage::DeviceImage::FromBytes(image));
+          });
     }
   }
 
@@ -373,15 +381,16 @@ Status FsUnderTest::EndOp() {
 }
 
 Status FsUnderTest::SaveViaDevice(std::uint64_t key) {
-  device_snapshots_[key] = device_->SnapshotContents();
-  last_state_bytes_ = device_snapshots_[key].size();
+  const storage::DeviceImage& image =
+      device_snapshots_[key] = device_->Capture();
+  last_state_bytes_ = image.size_bytes();
   return Status::Ok();
 }
 
 Status FsUnderTest::RestoreViaDevice(std::uint64_t key) {
   auto it = device_snapshots_.find(key);
   if (it == device_snapshots_.end()) return Errno::kENOENT;
-  return device_->RestoreContents(it->second);
+  return device_->Restore(it->second);
 }
 
 Status FsUnderTest::SaveState(std::uint64_t key) {
@@ -443,10 +452,10 @@ Status FsUnderTest::SaveState(std::uint64_t key) {
       if (Status s = EnsureMounted(); !s.ok()) return s;
       auto mount_state = mount_capture_->ExportMountState();
       if (!mount_state.ok()) return mount_state.error();
-      device_snapshots_[key] = device_->SnapshotContents();
+      device_snapshots_[key] = device_->Capture();
       mount_snapshots_[key] = std::move(mount_state).value();
-      last_state_bytes_ =
-          device_snapshots_[key].size() + mount_snapshots_[key].size();
+      last_state_bytes_ = device_snapshots_[key].size_bytes() +
+                          mount_snapshots_[key].size();
       return Status::Ok();
     }
     case StateStrategy::kVmSnapshot: {
@@ -591,37 +600,26 @@ std::vector<std::string> FsUnderTest::SpecialPaths() const {
 }
 
 Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(
-    ByteView image) const {
+    const storage::DeviceImage& image) const {
   // No simulated clock: probe mounts are checking logic, not charged time.
   switch (config_.kind) {
-    case FsKind::kExt2: {
-      auto dev = std::make_shared<storage::RamDisk>("ext2f-probe",
-                                                    image.size(), nullptr);
-      if (Status s = dev->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::Ext2Fs>(dev, Ext2OptionsFor(config_)));
-    }
-    case FsKind::kExt4: {
-      auto dev = std::make_shared<storage::RamDisk>("ext4f-probe",
-                                                    image.size(), nullptr);
-      if (Status s = dev->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::Ext4Fs>(dev, Ext4OptionsFor(config_)));
-    }
-    case FsKind::kXfs: {
-      auto dev = std::make_shared<storage::RamDisk>("xfsf-probe",
-                                                    image.size(), nullptr);
-      if (Status s = dev->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::XfsFs>(dev, XfsOptionsFor(config_)));
-    }
-    case FsKind::kJffs2: {
-      auto mtd = std::make_shared<storage::MtdDevice>("mtdram-probe",
-                                                      image.size(), nullptr);
-      if (Status s = mtd->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::Jffs2Fs>(mtd, Jffs2OptionsFor(config_)));
-    }
+    case FsKind::kExt2:
+      return fs::FileSystemPtr(std::make_shared<fs::Ext2Fs>(
+          std::make_shared<storage::RamDisk>("ext2f-probe", image, nullptr),
+          Ext2OptionsFor(config_)));
+    case FsKind::kExt4:
+      return fs::FileSystemPtr(std::make_shared<fs::Ext4Fs>(
+          std::make_shared<storage::RamDisk>("ext4f-probe", image, nullptr),
+          Ext4OptionsFor(config_)));
+    case FsKind::kXfs:
+      return fs::FileSystemPtr(std::make_shared<fs::XfsFs>(
+          std::make_shared<storage::RamDisk>("xfsf-probe", image, nullptr),
+          XfsOptionsFor(config_)));
+    case FsKind::kJffs2:
+      return fs::FileSystemPtr(std::make_shared<fs::Jffs2Fs>(
+          std::make_shared<storage::MtdDevice>("mtdram-probe", image,
+                                               nullptr),
+          Jffs2OptionsFor(config_)));
     case FsKind::kVerifs1:
     case FsKind::kVerifs2:
     case FsKind::kSpec:

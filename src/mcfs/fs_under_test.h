@@ -135,11 +135,13 @@ class FsUnderTest {
 
   // Crash exploration: the recording wrapper (null unless configured
   // with crashable_device), and a factory for recovery probes — a fresh
-  // device restored to `image`, mounted by nothing, carrying the same
+  // device built on `image`'s blocks (no copy; recovery writes clone the
+  // blocks they touch), mounted by nothing, carrying the same
   // file-system options (including seeded bugs, so a mutant's broken
   // recovery path is the one exercised). The caller mounts it.
   storage::CrashableDisk* crash_disk() { return crash_disk_; }
-  Result<fs::FileSystemPtr> BuildRecoveryProbe(ByteView image) const;
+  Result<fs::FileSystemPtr> BuildRecoveryProbe(
+      const storage::DeviceImage& image) const;
 
  private:
   FsUnderTest() = default;
@@ -182,7 +184,7 @@ class FsUnderTest {
   std::unique_ptr<nfs::GaneshaServer> ganesha_;
   std::unique_ptr<snapshot::CriuSnapshotter> criu_;
 
-  std::map<std::uint64_t, Bytes> device_snapshots_;
+  std::map<std::uint64_t, storage::DeviceImage> device_snapshots_;
   std::map<std::uint64_t, Bytes> mount_snapshots_;  // kVfsApi strategy
   // kIoctl: explorer key -> snapshot handle on the checkpointable FS.
   std::map<std::uint64_t, fs::SnapshotId> ioctl_handles_;

@@ -298,8 +298,7 @@ Result<std::string> CrashConsistencyChecker::Check() {
       disk->EnumerateCrashStates(options_.states);
   for (const storage::CrashState& st : states) {
     ++states_checked_;
-    auto probe = fut_->BuildRecoveryProbe(
-        ByteView(st.image.data(), st.image.size()));
+    auto probe = fut_->BuildRecoveryProbe(st.image);
     if (!probe.ok()) return probe.error();
     fs::FileSystem& fs = *probe.value();
     if (Status s = fs.Mount(); !s.ok()) {

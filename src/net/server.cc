@@ -15,14 +15,7 @@
 namespace mcfs::net {
 
 namespace {
-// Read timeout per poll round on a legacy connection thread. Short
-// enough that a stopping server joins its threads promptly, long enough
-// to be invisible in steady state (the loop just re-polls on kEAGAIN).
-constexpr int kReadRoundMs = 200;
-// Send timeout for legacy-mode replies. A client that stops draining
-// its socket for this long is dead weight; drop it.
-constexpr int kSendTimeoutMs = 5000;
-// Read chunk for both models.
+// Read chunk per connection per readiness event.
 constexpr std::size_t kReadChunk = 64 * 1024;
 
 // epoll_event user-data sentinels for the shard's own fds; connection
@@ -414,12 +407,6 @@ Status FrameServer::Start(const Endpoint& listen) {
   endpoint_ = listener_.endpoint();
   stopping_.store(false, std::memory_order_release);
 
-  if (options_.model == ServerOptions::Model::kThreadPerConn) {
-    running_.store(true, std::memory_order_release);
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-    return Status::Ok();
-  }
-
   const int shard_count = std::max(1, options_.reactor_shards);
   shards_.reserve(static_cast<std::size_t>(shard_count));
   for (int i = 0; i < shard_count; ++i) {
@@ -448,133 +435,22 @@ void FrameServer::Stop() {
     // nothing left to do.
     return;
   }
-  if (options_.model == ServerOptions::Model::kThreadPerConn) {
-    listener_.Close();  // wakes the blocking Accept
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& [id, fd] : live_fds_) {
-        (void)::shutdown(fd, SHUT_RDWR);  // wakes the connection thread
-      }
-    }
-    if (accept_thread_.joinable()) accept_thread_.join();
-    std::vector<std::thread> threads;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      threads.swap(conn_threads_);
-    }
-    for (std::thread& t : threads) {
-      if (t.joinable()) t.join();
-    }
-  } else {
-    for (auto& shard : shards_) shard->RequestStop();
-    for (auto& shard : shards_) {
-      if (shard->thread.joinable()) shard->thread.join();
-    }
-    shards_.clear();  // late ReplyToken completions now no-op
-    // Close only after the shards are joined: shard 0 keeps the listen fd
-    // registered in its epoll set, and closing an fd another thread is
-    // polling is a race (the fd number can be reused mid-epoll_ctl). The
-    // reactor wakes via its eventfd, so it never needed the close to stop.
-    listener_.Close();
+  for (auto& shard : shards_) shard->RequestStop();
+  for (auto& shard : shards_) {
+    if (shard->thread.joinable()) shard->thread.join();
   }
+  shards_.clear();  // late ReplyToken completions now no-op
+  // Close only after the shards are joined: shard 0 keeps the listen fd
+  // registered in its epoll set, and closing an fd another thread is
+  // polling is a race (the fd number can be reused mid-epoll_ctl). The
+  // reactor wakes via its eventfd, so it never needed the close to stop.
+  listener_.Close();
   running_.store(false, std::memory_order_release);
 }
 
 int FrameServer::serving_threads() const {
   if (!running()) return 0;
-  if (options_.model == ServerOptions::Model::kThreadPerConn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return 1 + static_cast<int>(live_fds_.size());
-  }
   return static_cast<int>(shards_.size());
-}
-
-// --- legacy thread-per-connection model ----------------------------
-
-void FrameServer::AcceptLoop() {
-  for (;;) {
-    auto conn = listener_.Accept(kReadRoundMs);
-    if (!conn.ok()) {
-      if (conn.error() == Errno::kEAGAIN) {
-        if (stopping_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      return;  // listener closed
-    }
-    if (stopping_.load(std::memory_order_acquire)) return;
-    const std::uint64_t conn_id =
-        next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
-    live_fds_[conn_id] = conn.value().fd();
-    Socket socket = std::move(conn.value());
-    conn_threads_.emplace_back(
-        [this, conn_id, sock = std::move(socket)]() mutable {
-          ServeConnection(std::move(sock), conn_id);
-        });
-  }
-}
-
-void FrameServer::ServeConnection(Socket socket, std::uint64_t conn_id) {
-  FrameDecoder decoder;
-  std::uint8_t buf[16 * 1024];
-  bool alive = true;
-  while (alive) {
-    // Drain every complete frame before reading more: pipelined
-    // requests are answered back-to-back without extra socket reads.
-    for (;;) {
-      auto next = decoder.Next();
-      if (!next.ok()) {
-        // Corrupt stream (bad magic / oversized length): tell the peer
-        // once, then drop — there is no way to resynchronize.
-        Bytes err = EncodeFrame(FrameType::kError, 0,
-                                EncodeError(next.error()));
-        (void)socket.SendAll(err, kSendTimeoutMs);
-        alive = false;
-        break;
-      }
-      if (!next.value().has_value()) break;  // need more bytes
-      const Frame& request = *next.value();
-
-      FrameService* service = nullptr;
-      for (FrameService* s : services_) {
-        if (s->Handles(request.type)) {
-          service = s;
-          break;
-        }
-      }
-      Bytes reply_bytes;
-      if (service == nullptr) {
-        reply_bytes = EncodeFrame(FrameType::kError, 0,
-                                  EncodeError(Errno::kENOTSUP));
-      } else {
-        auto reply = service->Handle(request, conn_id);
-        reply_bytes = EncodeReply(reply);
-      }
-      if (!socket.SendAll(reply_bytes, kSendTimeoutMs).ok()) {
-        alive = false;
-        break;
-      }
-    }
-    if (!alive) break;
-
-    auto n = socket.RecvSome(buf, sizeof(buf), kReadRoundMs);
-    if (!n.ok()) {
-      if (n.error() == Errno::kEAGAIN) {
-        if (stopping_.load(std::memory_order_acquire)) break;
-        continue;
-      }
-      break;  // peer reset / socket shut down
-    }
-    if (n.value() == 0) break;  // orderly EOF
-    decoder.Feed(ByteView(buf, n.value()));
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    live_fds_.erase(conn_id);
-  }
-  for (FrameService* s : services_) s->OnDisconnect(conn_id);
 }
 
 }  // namespace mcfs::net

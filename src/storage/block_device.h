@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 
+#include "storage/device_image.h"
 #include "util/bytes.h"
 #include "util/result.h"
 #include "util/sim_clock.h"
@@ -49,12 +50,15 @@ class BlockDevice {
   // Snapshot of the full device contents — this is how the model checker
   // tracks persistent state for block-based file systems (the paper mmaps
   // the backing device into Spin's address space for the same purpose).
-  virtual Bytes SnapshotContents() const = 0;
+  // The image shares blocks with the device: capture copies block
+  // pointers, and the device clones a block before its next write.
+  virtual DeviceImage Capture() const = 0;
 
-  // Restores a snapshot previously taken with SnapshotContents(). Note that
+  // Restores an image previously taken with Capture() by swapping block
+  // pointers; EINVAL if its size differs from the device's. Note that
   // this bypasses any file-system cache above the device: that is exactly
   // the cache-incoherency hazard of paper §3.2.
-  virtual Status RestoreContents(ByteView contents) = 0;
+  virtual Status Restore(const DeviceImage& image) = 0;
 
   virtual const DeviceStats& stats() const = 0;
 

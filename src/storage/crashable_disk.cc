@@ -1,24 +1,13 @@
 #include "storage/crashable_disk.h"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <utility>
 
-#include "util/bytes.h"
 #include "util/md5.h"
 #include "util/rng.h"
 
 namespace mcfs::storage {
-namespace {
-
-constexpr std::uint32_t kSnapshotMagic = 0x4352444bu;  // "CRDK"
-
-std::uint64_t ImageDigest(const Bytes& image) {
-  return Md5::Hash(ByteView(image.data(), image.size())).lo64();
-}
-
-}  // namespace
 
 std::string CrashState::Describe() const {
   std::string out = "applied " + std::to_string(applied.size()) + "/" +
@@ -32,9 +21,7 @@ std::string CrashState::Describe() const {
 }
 
 CrashableDisk::CrashableDisk(BlockDevicePtr inner)
-    : inner_(std::move(inner)),
-      durable_(inner_->SnapshotContents()),
-      durable_digest_(ImageDigest(durable_)) {}
+    : inner_(std::move(inner)), durable_(inner_->Capture()) {}
 
 CrashableDisk::~CrashableDisk() {
   if (mtd_ != nullptr) mtd_->set_write_observer(nullptr);
@@ -89,13 +76,9 @@ void CrashableDisk::RecordWrite(std::uint64_t offset, ByteView after) {
 }
 
 void CrashableDisk::CommitBarrier() {
-  for (const WriteRecord& rec : journal_) {
-    std::memcpy(durable_.data() + rec.offset, rec.after.data(),
-                rec.after.size());
-  }
+  for (const WriteRecord& rec : journal_) durable_.Write(rec.offset, rec.after);
   journal_.clear();
   ++barriers_;
-  durable_digest_ = ImageDigest(durable_);
 }
 
 void CrashableDisk::MarkClean() {
@@ -103,15 +86,11 @@ void CrashableDisk::MarkClean() {
   CommitBarrier();
 }
 
-Bytes CrashableDisk::ImageWithSubset(
+DeviceImage CrashableDisk::Overlay(
     const std::vector<std::size_t>& applied) const {
-  Bytes image = durable_;
-  // Ascending indices = issue order, so overlapping in-flight writes
-  // resolve the same way the device would (later write wins).
+  DeviceImage image = durable_;
   for (std::size_t idx : applied) {
-    const WriteRecord& rec = journal_[idx];
-    std::memcpy(image.data() + rec.offset, rec.after.data(),
-                rec.after.size());
+    image.Write(journal_[idx].offset, journal_[idx].after);
   }
   return image;
 }
@@ -172,8 +151,8 @@ std::vector<CrashState> CrashableDisk::EnumerateCrashStates(
   std::set<std::uint64_t> seen;  // dedup identical images
   for (const auto& subset : subsets) {
     CrashState state;
-    state.image = ImageWithSubset(subset);
-    if (!seen.insert(ImageDigest(state.image)).second) continue;
+    state.image = Overlay(subset);
+    if (!seen.insert(state.image.Digest().lo64()).second) continue;
     state.applied = subset;
     state.pending_total = n;
     states.push_back(std::move(state));
@@ -183,7 +162,7 @@ std::vector<CrashState> CrashableDisk::EnumerateCrashStates(
 
 std::uint64_t CrashableDisk::StateDigest() const {
   Md5 md5;
-  md5.UpdateU64(durable_digest_);
+  md5.UpdateU64(durable_.Digest().lo64());
   md5.UpdateU64(barriers_);
   md5.UpdateU64(journal_.size());
   for (const WriteRecord& rec : journal_) {
@@ -193,46 +172,27 @@ std::uint64_t CrashableDisk::StateDigest() const {
   return md5.Final().lo64();
 }
 
-Bytes CrashableDisk::SnapshotContents() const {
-  ByteWriter w;
-  w.PutU32(kSnapshotMagic);
-  w.PutBlob(ByteView(durable_.data(), durable_.size()));
-  w.PutU64(barriers_);
-  w.PutU32(static_cast<std::uint32_t>(journal_.size()));
-  for (const WriteRecord& rec : journal_) {
-    w.PutU64(rec.offset);
-    w.PutBlob(ByteView(rec.after.data(), rec.after.size()));
-  }
-  return w.Take();
+DeviceImage CrashableDisk::Capture() const {
+  auto snapshot = std::make_shared<Snapshot>();
+  snapshot->durable = durable_;
+  snapshot->journal = journal_;
+  snapshot->barriers = barriers_;
+  DeviceImage live = durable_;
+  for (const WriteRecord& rec : journal_) live.Write(rec.offset, rec.after);
+  live.set_annex(std::move(snapshot));
+  return live;
 }
 
-Status CrashableDisk::RestoreContents(ByteView contents) {
-  try {
-    ByteReader r(contents);
-    if (r.GetU32() != kSnapshotMagic) return Errno::kEINVAL;
-    Bytes durable = r.GetBlob();
-    const std::uint64_t barriers = r.GetU64();
-    const std::uint32_t count = r.GetU32();
-    std::vector<WriteRecord> journal;
-    journal.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      WriteRecord rec;
-      rec.offset = r.GetU64();
-      rec.after = r.GetBlob();
-      journal.push_back(std::move(rec));
-    }
-    if (!r.AtEnd()) return Errno::kEINVAL;
-    durable_ = std::move(durable);
-    journal_ = std::move(journal);
-    barriers_ = barriers;
-    durable_digest_ = ImageDigest(durable_);
-    // The inner device's live contents = durable + every in-flight write.
-    std::vector<std::size_t> all(journal_.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    return inner_->RestoreContents(ImageWithSubset(all));
-  } catch (const std::out_of_range&) {
+Status CrashableDisk::Restore(const DeviceImage& image) {
+  const auto* snapshot = dynamic_cast<const Snapshot*>(image.annex().get());
+  if (snapshot == nullptr || image.size_bytes() != size_bytes()) {
     return Errno::kEINVAL;
   }
+  if (Status s = inner_->Restore(image); !s.ok()) return s;
+  durable_ = snapshot->durable;
+  journal_ = snapshot->journal;
+  barriers_ = snapshot->barriers;
+  return Status::Ok();
 }
 
 }  // namespace mcfs::storage

@@ -12,6 +12,10 @@
 // post-barrier writes are droppable. This is the B3 crash model (PAPERS.md)
 // specialized to whole-write granularity.
 //
+// The durable image is a DeviceImage and a crash state is that image with
+// the chosen journal writes overlaid copy-on-write, so building one clones
+// only the blocks those writes touch, and its digest rehashes only them.
+//
 // JFFS2 programs its MTD directly, bypassing the block shim, so for that
 // stack the wrapper doubles as an MtdWriteObserver: raw Program/EraseBlock
 // post-images and fsync barriers arrive via the observer hooks instead of
@@ -39,7 +43,7 @@ struct CrashStateOptions {
 };
 
 struct CrashState {
-  Bytes image;                        // device contents at the crash
+  DeviceImage image;                  // device contents at the crash
   std::vector<std::size_t> applied;   // journal indices applied, ascending
   std::size_t pending_total = 0;      // journal size at the crash point
   std::string Describe() const;
@@ -62,11 +66,14 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   }
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
-  // Snapshots carry the full crash bookkeeping (durable image + journal +
-  // barrier count), not just the current contents, so explorer rollbacks
-  // restore the recorder to the exact persistence state too.
-  Bytes SnapshotContents() const override;
-  Status RestoreContents(ByteView contents) override;
+  // Captures carry the full crash bookkeeping (durable image + journal +
+  // barrier count) as the image's annex, beside the current contents, so
+  // explorer rollbacks restore the recorder to the exact persistence
+  // state too. Capture is not charged to the clock; Restore charges the
+  // inner device's restore. Restore takes only images this recorder
+  // captured (EINVAL otherwise, and on a size mismatch).
+  DeviceImage Capture() const override;
+  Status Restore(const DeviceImage& image) override;
   const DeviceStats& stats() const override { return inner_->stats(); }
   std::string name() const override { return inner_->name() + "+crash"; }
 
@@ -93,7 +100,7 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
 
   std::size_t pending_writes() const { return journal_.size(); }
   std::uint64_t barriers() const { return barriers_; }
-  const Bytes& durable_image() const { return durable_; }
+  const DeviceImage& durable_image() const { return durable_; }
 
  private:
   struct WriteRecord {
@@ -101,17 +108,26 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
     Bytes after;
   };
 
+  // The recorder's state in a captured image; the image itself holds the
+  // live contents (durable image with the whole journal applied).
+  struct Snapshot final : ImageAnnex {
+    DeviceImage durable;
+    std::vector<WriteRecord> journal;
+    std::uint64_t barriers = 0;
+  };
+
   void RecordWrite(std::uint64_t offset, ByteView after);
   void CommitBarrier();
-  Bytes ImageWithSubset(const std::vector<std::size_t>& applied) const;
+  // The durable image with journal_[i] applied for each i in `applied`
+  // (ascending = issue order, so a later overlapping write wins).
+  DeviceImage Overlay(const std::vector<std::size_t>& applied) const;
 
   BlockDevicePtr inner_;
   std::shared_ptr<MtdDevice> mtd_;   // set iff observing a raw MTD
-  Bytes durable_;                    // image as of the last barrier
+  DeviceImage durable_;              // image as of the last barrier
   std::vector<WriteRecord> journal_; // in-flight writes, issue order
   std::uint64_t barriers_ = 0;
   std::uint64_t injected_flush_errors_ = 0;
-  std::uint64_t durable_digest_ = 0;
 };
 
 }  // namespace mcfs::storage

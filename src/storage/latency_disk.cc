@@ -65,19 +65,19 @@ Status LatencyDisk::Flush() {
   return inner_->Flush();
 }
 
-Bytes LatencyDisk::SnapshotContents() const {
+DeviceImage LatencyDisk::Capture() const {
   if (clock_ != nullptr && profile_.bandwidth_bytes_per_s > 0) {
     clock_->Advance(profile_.base_latency +
                     inner_->size_bytes() * 1'000'000'000ULL /
                         profile_.bandwidth_bytes_per_s);
   }
-  return inner_->SnapshotContents();
+  return inner_->Capture();
 }
 
-Status LatencyDisk::RestoreContents(ByteView contents) {
+Status LatencyDisk::Restore(const DeviceImage& image) {
   // A state restore rewrites the whole device image.
-  Charge(0, contents.size());
-  return inner_->RestoreContents(contents);
+  Charge(0, image.size_bytes());
+  return inner_->Restore(image);
 }
 
 }  // namespace mcfs::storage

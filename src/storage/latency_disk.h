@@ -40,8 +40,8 @@ class LatencyDisk final : public BlockDevice {
 
   // State capture reads the whole device through the latency model (the
   // paper's Spin mmaps the backing device; saving a state touches it).
-  Bytes SnapshotContents() const override;
-  Status RestoreContents(ByteView contents) override;
+  DeviceImage Capture() const override;
+  Status Restore(const DeviceImage& image) override;
 
   const DeviceStats& stats() const override { return inner_->stats(); }
   std::string name() const override { return inner_->name(); }

@@ -11,31 +11,50 @@ MtdDevice::MtdDevice(std::string name, std::uint64_t size_bytes,
       options_(options),
       clock_(clock),
       data_(size_bytes, 0xff),
-      erase_counts_(size_bytes / options.erase_block_size, 0) {}
+      erase_counts_(size_bytes / options.erase_block_size, 0),
+      erased_(options.erase_block_size, 0xff) {}
+
+MtdDevice::MtdDevice(std::string name, const DeviceImage& image,
+                     SimClock* clock, MtdOptions options)
+    : name_(std::move(name)),
+      options_(options),
+      clock_(clock),
+      data_(image),
+      erase_counts_(image.size_bytes() / options.erase_block_size, 0),
+      erased_(options.erase_block_size, 0xff) {
+  data_.set_annex(nullptr);
+}
 
 Status MtdDevice::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
-  if (offset + out.size() > data_.size()) return Errno::kEIO;
-  // An empty span (a zero-length node payload) may have a null data(),
-  // which memcpy must not receive even for zero bytes.
-  if (!out.empty()) std::memcpy(out.data(), data_.data() + offset, out.size());
+  if (offset + out.size() > data_.size_bytes()) return Errno::kEIO;
+  data_.Read(offset, out);
   Charge((out.size() + 1023) / 1024 * options_.read_latency_per_kb);
   return Status::Ok();
 }
 
 Status MtdDevice::Program(std::uint64_t offset, ByteView data) {
-  if (offset + data.size() > data_.size()) return Errno::kEIO;
+  if (offset + data.size() > data_.size_bytes()) return Errno::kEIO;
   // Flash programming can only clear bits; flipping 0 -> 1 needs an erase.
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if ((data[i] & ~data_[offset + i]) != 0) return Errno::kEIO;
-  }
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data_[offset + i] &= data[i];
-  }
+  bool sets_bits = false;
+  data_.Visit(offset, data.size(), [&](ByteView old, std::uint64_t done) {
+    for (std::size_t i = 0; i < old.size() && !sets_bits; ++i) {
+      sets_bits = (data[done + i] & ~old[i]) != 0;
+    }
+  });
+  if (sets_bits) return Errno::kEIO;
+  if (observer_ != nullptr) observed_.resize(data.size());
+  data_.Modify(offset, data.size(),
+               [&](std::span<std::uint8_t> cell, std::uint64_t done) {
+                 for (std::size_t i = 0; i < cell.size(); ++i) {
+                   cell[i] &= data[done + i];
+                 }
+                 if (observer_ != nullptr) {
+                   std::memcpy(observed_.data() + done, cell.data(),
+                               cell.size());
+                 }
+               });
   Charge((data.size() + 1023) / 1024 * options_.write_latency_per_kb);
-  if (observer_ != nullptr) {
-    observer_->OnMtdWrite(
-        offset, ByteView(data_.data() + offset, data.size()));
-  }
+  if (observer_ != nullptr) observer_->OnMtdWrite(offset, observed_);
   return Status::Ok();
 }
 
@@ -43,13 +62,10 @@ Status MtdDevice::EraseBlock(std::uint32_t block_index) {
   if (block_index >= erase_counts_.size()) return Errno::kEINVAL;
   const std::uint64_t start =
       static_cast<std::uint64_t>(block_index) * options_.erase_block_size;
-  std::memset(data_.data() + start, 0xff, options_.erase_block_size);
+  data_.Fill(start, options_.erase_block_size, 0xff);
   ++erase_counts_[block_index];
   Charge(options_.erase_latency_per_block);
-  if (observer_ != nullptr) {
-    observer_->OnMtdWrite(
-        start, ByteView(data_.data() + start, options_.erase_block_size));
-  }
+  if (observer_ != nullptr) observer_->OnMtdWrite(start, erased_);
   return Status::Ok();
 }
 
@@ -58,15 +74,16 @@ Status MtdDevice::Flush() {
   return Status::Ok();
 }
 
-Bytes MtdDevice::SnapshotContents() const {
-  Charge((data_.size() + 1023) / 1024 * options_.read_latency_per_kb);
+DeviceImage MtdDevice::Capture() const {
+  Charge((data_.size_bytes() + 1023) / 1024 * options_.read_latency_per_kb);
   return data_;
 }
 
-Status MtdDevice::RestoreContents(ByteView contents) {
-  if (contents.size() != data_.size()) return Errno::kEINVAL;
-  Charge((contents.size() + 1023) / 1024 * options_.read_latency_per_kb);
-  data_.assign(contents.begin(), contents.end());
+Status MtdDevice::Restore(const DeviceImage& image) {
+  if (image.size_bytes() != data_.size_bytes()) return Errno::kEINVAL;
+  Charge((image.size_bytes() + 1023) / 1024 * options_.read_latency_per_kb);
+  data_ = image;
+  data_.set_annex(nullptr);
   return Status::Ok();
 }
 

@@ -42,11 +42,15 @@ class MtdDevice {
  public:
   MtdDevice(std::string name, std::uint64_t size_bytes, SimClock* clock,
             MtdOptions options = {});
+  // Flash whose contents start as `image`, sharing its blocks (recovery
+  // probes): programs and erases clone blocks, never changing the image.
+  MtdDevice(std::string name, const DeviceImage& image, SimClock* clock,
+            MtdOptions options = {});
 
-  std::uint64_t size_bytes() const { return data_.size(); }
+  std::uint64_t size_bytes() const { return data_.size_bytes(); }
   std::uint32_t erase_block_size() const { return options_.erase_block_size; }
   std::uint32_t erase_block_count() const {
-    return static_cast<std::uint32_t>(data_.size() /
+    return static_cast<std::uint32_t>(data_.size_bytes() /
                                       options_.erase_block_size);
   }
 
@@ -70,9 +74,10 @@ class MtdDevice {
   }
 
   // State capture passes read/rewrite the whole flash through the
-  // mtdblock view (the paper mmaps it, §4); charged at read rate.
-  Bytes SnapshotContents() const;
-  Status RestoreContents(ByteView contents);
+  // mtdblock view (the paper mmaps it, §4); charged at read rate. Restore
+  // fails with EINVAL on an image of another size.
+  DeviceImage Capture() const;
+  Status Restore(const DeviceImage& image);
 
   std::uint64_t erase_count(std::uint32_t block_index) const {
     return erase_counts_.at(block_index);
@@ -88,9 +93,12 @@ class MtdDevice {
   std::string name_;
   MtdOptions options_;
   SimClock* clock_;
-  Bytes data_;
+  DeviceImage data_;
   std::vector<std::uint64_t> erase_counts_;
   MtdWriteObserver* observer_ = nullptr;
+  // Contiguous post-image of the last program, handed to the observer.
+  Bytes observed_;
+  Bytes erased_;  // one erase block of 0xff, the post-image of an erase
 };
 
 // mtdblock-style adapter: exposes the MTD as a BlockDevice so the model
@@ -115,9 +123,9 @@ class MtdBlockShim final : public BlockDevice {
     return mtd_->Flush();
   }
 
-  Bytes SnapshotContents() const override { return mtd_->SnapshotContents(); }
-  Status RestoreContents(ByteView contents) override {
-    return mtd_->RestoreContents(contents);
+  DeviceImage Capture() const override { return mtd_->Capture(); }
+  Status Restore(const DeviceImage& image) override {
+    return mtd_->Restore(image);
   }
 
   const DeviceStats& stats() const override { return stats_; }

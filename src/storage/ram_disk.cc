@@ -1,6 +1,5 @@
 #include "storage/ram_disk.h"
 
-#include <cstring>
 #include <utility>
 
 namespace mcfs::storage {
@@ -11,6 +10,12 @@ RamDisk::RamDisk(std::string name, std::uint64_t size_bytes, SimClock* clock,
       options_(options),
       clock_(clock),
       data_(size_bytes, 0) {}
+
+RamDisk::RamDisk(std::string name, const DeviceImage& image, SimClock* clock,
+                 RamDiskOptions options)
+    : name_(std::move(name)), options_(options), clock_(clock), data_(image) {
+  data_.set_annex(nullptr);
+}
 
 bool RamDisk::ConsumeInjectedError() {
   if (injected_errors_ == 0) return false;
@@ -39,10 +44,8 @@ void RamDisk::ChargeSnapshotPass(std::uint64_t bytes) const {
 
 Status RamDisk::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
   if (ConsumeInjectedError()) return Errno::kEIO;
-  if (offset + out.size() > data_.size()) return Errno::kEIO;
-  if (!out.empty()) {
-    std::memcpy(out.data(), data_.data() + offset, out.size());
-  }
+  if (offset + out.size() > data_.size_bytes()) return Errno::kEIO;
+  data_.Read(offset, out);
   ++stats_.reads;
   stats_.bytes_read += out.size();
   Charge(out.size());
@@ -51,10 +54,8 @@ Status RamDisk::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
 
 Status RamDisk::Write(std::uint64_t offset, ByteView data) {
   if (ConsumeInjectedError()) return Errno::kEIO;
-  if (offset + data.size() > data_.size()) return Errno::kEIO;
-  if (!data.empty()) {
-    std::memcpy(data_.data() + offset, data.data(), data.size());
-  }
+  if (offset + data.size() > data_.size_bytes()) return Errno::kEIO;
+  data_.Write(offset, data);
   ++stats_.writes;
   stats_.bytes_written += data.size();
   Charge(data.size());
@@ -66,15 +67,18 @@ Status RamDisk::Flush() {
   return Status::Ok();
 }
 
-Bytes RamDisk::SnapshotContents() const {
-  ChargeSnapshotPass(data_.size());
+// Capture and restore are charged as full-device passes: the sim clock
+// models Spin copying the mmapped device, whatever the host copies.
+DeviceImage RamDisk::Capture() const {
+  ChargeSnapshotPass(data_.size_bytes());
   return data_;
 }
 
-Status RamDisk::RestoreContents(ByteView contents) {
-  if (contents.size() != data_.size()) return Errno::kEINVAL;
-  ChargeSnapshotPass(contents.size());
-  data_.assign(contents.begin(), contents.end());
+Status RamDisk::Restore(const DeviceImage& image) {
+  if (image.size_bytes() != data_.size_bytes()) return Errno::kEINVAL;
+  ChargeSnapshotPass(image.size_bytes());
+  data_ = image;
+  data_.set_annex(nullptr);
   return Status::Ok();
 }
 

@@ -34,16 +34,20 @@ class RamDisk final : public BlockDevice {
   // `clock` may be null (no time accounting, e.g. in unit tests).
   RamDisk(std::string name, std::uint64_t size_bytes, SimClock* clock,
           RamDiskOptions options = {});
+  // A disk whose contents start as `image`, sharing its blocks (recovery
+  // probes): writes clone blocks, so the image itself never changes.
+  RamDisk(std::string name, const DeviceImage& image, SimClock* clock,
+          RamDiskOptions options = {});
 
-  std::uint64_t size_bytes() const override { return data_.size(); }
+  std::uint64_t size_bytes() const override { return data_.size_bytes(); }
   std::uint32_t block_size() const override { return options_.block_size; }
 
   Status Read(std::uint64_t offset, std::span<std::uint8_t> out) override;
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
 
-  Bytes SnapshotContents() const override;
-  Status RestoreContents(ByteView contents) override;
+  DeviceImage Capture() const override;
+  Status Restore(const DeviceImage& image) override;
 
   const DeviceStats& stats() const override { return stats_; }
   std::string name() const override { return name_; }
@@ -59,7 +63,7 @@ class RamDisk final : public BlockDevice {
   std::string name_;
   RamDiskOptions options_;
   SimClock* clock_;
-  Bytes data_;
+  DeviceImage data_;
   DeviceStats stats_;
   std::uint32_t injected_errors_ = 0;
 };

@@ -26,6 +26,10 @@ inline std::string_view AsString(ByteView b) {
 // Little-endian append-only writer.
 class ByteWriter {
  public:
+  // Sizes the buffer once for a record whose length is known up front,
+  // instead of growing it by doubling.
+  void Reserve(std::size_t n) { buf_.reserve(n); }
+
   void PutU8(std::uint8_t v) { buf_.push_back(v); }
 
   void PutU16(std::uint16_t v) { PutLe(v); }

@@ -58,8 +58,8 @@ TEST(CrashableDiskTest, BarrierLegality) {
   ASSERT_EQ(states.size(), 2u);
   for (const CrashState& st : states) {
     // No crash state may lose a write that preceded a barrier.
-    EXPECT_EQ(std::string(st.image.begin(), st.image.begin() + 8),
-              "durable!");
+    const Bytes image = st.image.ToBytes();
+    EXPECT_EQ(std::string(image.begin(), image.begin() + 8), "durable!");
   }
   // Exactly one state applies the pending write.
   const auto applied = std::count_if(
@@ -149,9 +149,8 @@ TEST(CrashableDiskTest, FlushFaultInjection) {
   EXPECT_TRUE(disk->Flush().ok());
   EXPECT_EQ(disk->pending_writes(), 0u);
   EXPECT_EQ(disk->barriers(), 1u);
-  EXPECT_EQ(std::string(disk->durable_image().begin(),
-                        disk->durable_image().begin() + 8),
-            "inflight");
+  const Bytes durable = disk->durable_image().ToBytes();
+  EXPECT_EQ(std::string(durable.begin(), durable.begin() + 8), "inflight");
 }
 
 TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
@@ -160,24 +159,32 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
   ASSERT_TRUE(disk->Flush().ok());
   ASSERT_TRUE(disk->Write(256, AsBytes("pending")).ok());
 
-  const Bytes snapshot = disk->SnapshotContents();
+  const DeviceImage snapshot = disk->Capture();
 
   // Mutate past the snapshot: another barrier plus another write.
   ASSERT_TRUE(disk->Flush().ok());
   ASSERT_TRUE(disk->Write(512, AsBytes("later")).ok());
   ASSERT_EQ(disk->barriers(), 2u);
 
-  ASSERT_TRUE(disk->RestoreContents(snapshot).ok());
+  ASSERT_TRUE(disk->Restore(snapshot).ok());
   EXPECT_EQ(disk->barriers(), 1u);
   EXPECT_EQ(disk->pending_writes(), 1u);
   // Live contents include the in-flight write again...
   const Bytes live = ReadAll(*disk);
   EXPECT_EQ(std::string(live.begin() + 256, live.begin() + 263), "pending");
   // ...but the durable image does not.
-  const Bytes& durable = disk->durable_image();
+  const Bytes durable = disk->durable_image().ToBytes();
   EXPECT_EQ(durable[256], 0);
 
-  EXPECT_EQ(disk->RestoreContents(Bytes(64, 0xab)).error(), Errno::kEINVAL);
+  // A raw image carries no bookkeeping, so the recorder refuses it.
+  EXPECT_EQ(disk->Restore(DeviceImage::FromBytes(live)).error(),
+            Errno::kEINVAL);
+}
+
+TEST(CrashableDiskTest, RestoreRejectsWrongSize) {
+  auto disk = MakeDisk(4096);
+  auto other = MakeDisk(8192);
+  EXPECT_EQ(disk->Restore(other->Capture()).error(), Errno::kEINVAL);
 }
 
 TEST(CrashableDiskTest, MarkCleanCommitsWithoutBarrier) {
@@ -238,7 +245,7 @@ TEST(CrashableDiskMtdTest, ShimWritesAreNotDoubleCounted) {
   opts.barrier_model = BarrierModel::kOrdered;
   const auto states = crash->EnumerateCrashStates(opts);
   ASSERT_FALSE(states.empty());
-  EXPECT_EQ(states.back().image, mtd->SnapshotContents());
+  EXPECT_EQ(states.back().image, mtd->Capture());
 }
 
 // Regression: MtdBlockShim::Flush used to return Ok() without touching

@@ -496,11 +496,11 @@ void ExpectWarmMatchesCold(Jffs2Fs& warm, const Bytes& image,
   if (warm.IsMounted()) {
     ASSERT_TRUE(warm.Unmount().ok());
   }
-  ASSERT_TRUE(warm.mtd().RestoreContents(image).ok());
+  ASSERT_TRUE(warm.mtd().Restore(storage::DeviceImage::FromBytes(image)).ok());
   const Status warm_status = warm.Mount();
 
   auto copy = MakeMtd(image.size());
-  ASSERT_TRUE(copy->RestoreContents(image).ok());
+  ASSERT_TRUE(copy->Restore(storage::DeviceImage::FromBytes(image)).ok());
   Jffs2Fs cold(copy);
   const Status cold_status = cold.Mount();
   ASSERT_EQ(warm_status, cold_status) << ErrnoName(warm_status.error());
@@ -550,7 +550,7 @@ TEST(Jffs2Internals, WarmReplayMatchesColdReplay) {
     // Remount the unchanged flash, then one of: an older or newer image,
     // a torn tail, or a one-byte flip in a node the memo holds.
     ASSERT_TRUE(warm.Unmount().ok());
-    const Bytes image = mtd->SnapshotContents();
+    const Bytes image = mtd->Capture().ToBytes();
     ExpectWarmMatchesCold(warm, image, "unchanged");
     ASSERT_TRUE(warm.IsMounted());
     images.push_back(image);
@@ -629,7 +629,7 @@ TEST(Jffs2Internals, MemoDoesNotVouchForBytesPastTheFirstChangedNode) {
   ASSERT_TRUE(warm.Mount().ok());
   const std::uint64_t root_end = warm.log_head();
   ASSERT_TRUE(warm.Unmount().ok());
-  const Bytes formatted = mtd->SnapshotContents();
+  const Bytes formatted = mtd->Capture().ToBytes();
 
   // A node with a bad checksum, and an old log in which those exact bytes
   // sit, 44 bytes past the root node, inside the name of a valid node.
@@ -660,12 +660,12 @@ TEST(Jffs2Internals, RemountHashesOnlyNodesItHasNotVerified) {
   ASSERT_TRUE(fs.Mount().ok());
   Bytes older;
   for (int i = 0; i < 8; ++i) {
-    if (i == 4) older = mtd->SnapshotContents();
+    if (i == 4) older = mtd->Capture().ToBytes();
     WriteAll(fs, "/f" + std::to_string(i), std::string(100, 'a' + i));
   }
   ASSERT_TRUE(fs.Unmount().ok());
   ASSERT_TRUE(fs.Mount().ok());  // first replay of these nodes
-  const Bytes image = mtd->SnapshotContents();
+  const Bytes image = mtd->Capture().ToBytes();
   const std::vector<std::uint64_t> nodes = NodeOffsets(image, fs.log_head());
   ASSERT_GE(nodes.size(), 10u);
 
@@ -674,7 +674,7 @@ TEST(Jffs2Internals, RemountHashesOnlyNodesItHasNotVerified) {
     const std::uint64_t hashed = fs.replay_nodes_hashed();
     const std::uint64_t reused = fs.replay_nodes_reused();
     EXPECT_TRUE(fs.Unmount().ok());
-    EXPECT_TRUE(mtd->RestoreContents(flash).ok());
+    EXPECT_TRUE(mtd->Restore(storage::DeviceImage::FromBytes(flash)).ok());
     EXPECT_TRUE(fs.Mount().ok());
     return Counts(fs.replay_nodes_hashed() - hashed,
                   fs.replay_nodes_reused() - reused);
@@ -709,7 +709,7 @@ TEST(Jffs2Internals, RemountHashesOnlyNodesItHasNotVerified) {
     ASSERT_LT(i, 1000);
     WriteAll(fs, "/churn", std::string(2000, 'c'));
   }
-  const Bytes compacted = mtd->SnapshotContents();
+  const Bytes compacted = mtd->Capture().ToBytes();
   const Counts after_gc = remount(compacted);
   const std::uint64_t live = NodeOffsets(compacted, fs.log_head()).size();
   EXPECT_EQ(after_gc, Counts(live, 0));

@@ -75,7 +75,7 @@ TEST(IncoherencyTest, FlushingDoesNotSubstituteForRemount) {
   ASSERT_TRUE(v.Write(fd.value(), 0, AsBytes("flushed")).ok());
   ASSERT_TRUE(v.Fsync(fd.value()).ok());
   ASSERT_TRUE(v.Close(fd.value()).ok());
-  const Bytes snapshot_with_f = disk->SnapshotContents();
+  const storage::DeviceImage snapshot_with_f = disk->Capture();
 
   // Delete /f, flush again.
   ASSERT_TRUE(v.Unlink("/f").ok());
@@ -86,7 +86,7 @@ TEST(IncoherencyTest, FlushingDoesNotSubstituteForRemount) {
 
   // Restore the earlier image under the live mount. The disk now says
   // /f exists and /g does not — but the caches disagree.
-  ASSERT_TRUE(disk->RestoreContents(snapshot_with_f).ok());
+  ASSERT_TRUE(disk->Restore(snapshot_with_f).ok());
   EXPECT_EQ(v.Stat("/f").error(), Errno::kENOENT);  // stale negative entry
   EXPECT_TRUE(v.Stat("/g").ok());                   // stale positive entry
 
@@ -94,7 +94,7 @@ TEST(IncoherencyTest, FlushingDoesNotSubstituteForRemount) {
   ASSERT_TRUE(v.Unmount().ok() || true);  // unmount flushes stale state...
   // ...which may itself scribble on the restored image — that is the
   // corruption mechanism. Restore again and mount cleanly:
-  ASSERT_TRUE(disk->RestoreContents(snapshot_with_f).ok());
+  ASSERT_TRUE(disk->Restore(snapshot_with_f).ok());
   if (v.IsMounted()) ASSERT_TRUE(v.Unmount().ok());
   ASSERT_TRUE(v.Mount().ok());
   EXPECT_TRUE(v.Stat("/f").ok());

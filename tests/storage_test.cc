@@ -41,9 +41,9 @@ TEST(RamDiskTest, FreshDiskReadsZero) {
 TEST(RamDiskTest, SnapshotRestoreRoundTrip) {
   RamDisk disk("d0", 2048, nullptr);
   ASSERT_TRUE(disk.Write(0, AsBytes("state-one")).ok());
-  Bytes snapshot = disk.SnapshotContents();
+  DeviceImage snapshot = disk.Capture();
   ASSERT_TRUE(disk.Write(0, AsBytes("state-two")).ok());
-  ASSERT_TRUE(disk.RestoreContents(snapshot).ok());
+  ASSERT_TRUE(disk.Restore(snapshot).ok());
   Bytes out(9);
   ASSERT_TRUE(disk.Read(0, out).ok());
   EXPECT_EQ(AsString(out), "state-one");
@@ -51,7 +51,8 @@ TEST(RamDiskTest, SnapshotRestoreRoundTrip) {
 
 TEST(RamDiskTest, RestoreRejectsWrongSize) {
   RamDisk disk("d0", 2048, nullptr);
-  EXPECT_EQ(disk.RestoreContents(Bytes(100)).error(), Errno::kEINVAL);
+  EXPECT_EQ(disk.Restore(DeviceImage::FromBytes(Bytes(100))).error(),
+            Errno::kEINVAL);
 }
 
 TEST(RamDiskTest, ChargesSimTime) {
@@ -146,7 +147,7 @@ TEST(LatencyDiskTest, PassesDataThrough) {
   Bytes out(5);
   ASSERT_TRUE(ssd.Read(10, out).ok());
   EXPECT_EQ(AsString(out), "hello");
-  EXPECT_EQ(ssd.SnapshotContents(), ram->SnapshotContents());
+  EXPECT_EQ(ssd.Capture(), ram->Capture());
 }
 
 // ---------------------------------------------------------------------------
@@ -210,12 +211,18 @@ TEST(MtdBlockShimTest, WriteSpanningEraseBlocks) {
 TEST(MtdDeviceTest, SnapshotRestore) {
   MtdDevice mtd("mtd0", 32 * 1024, nullptr);
   ASSERT_TRUE(mtd.Program(0, AsBytes("abc")).ok());
-  Bytes snapshot = mtd.SnapshotContents();
+  DeviceImage snapshot = mtd.Capture();
   ASSERT_TRUE(mtd.EraseBlock(0).ok());
-  ASSERT_TRUE(mtd.RestoreContents(snapshot).ok());
+  ASSERT_TRUE(mtd.Restore(snapshot).ok());
   Bytes out(3);
   ASSERT_TRUE(mtd.Read(0, out).ok());
   EXPECT_EQ(AsString(out), "abc");
+}
+
+TEST(MtdDeviceTest, RestoreRejectsWrongSize) {
+  MtdDevice mtd("mtd0", 32 * 1024, nullptr);
+  EXPECT_EQ(mtd.Restore(DeviceImage(16 * 1024, 0xff)).error(),
+            Errno::kEINVAL);
 }
 
 TEST(MtdDeviceTest, ChargesEraseLatency) {

@@ -259,7 +259,7 @@ TEST(VfsStaleness, RemountRestoresCoherence) {
   Stack stack = MakeExt2Stack();
   WriteViaVfs(*stack.vfs, "/f", "version-A");
   ASSERT_TRUE(stack.vfs->Unmount().ok());
-  Bytes snapshot = stack.disk->SnapshotContents();
+  storage::DeviceImage snapshot = stack.disk->Capture();
   ASSERT_TRUE(stack.vfs->Mount().ok());
 
   ASSERT_TRUE(stack.vfs->Unlink("/f").ok());
@@ -268,7 +268,7 @@ TEST(VfsStaleness, RemountRestoresCoherence) {
   // Restore the device; with the paper's remount workaround the caches
   // come back coherent.
   ASSERT_TRUE(stack.vfs->Unmount().ok());
-  ASSERT_TRUE(stack.disk->RestoreContents(snapshot).ok());
+  ASSERT_TRUE(stack.disk->Restore(snapshot).ok());
   ASSERT_TRUE(stack.vfs->Mount().ok());
   auto attr = stack.vfs->Stat("/f");
   ASSERT_TRUE(attr.ok());
