@@ -21,6 +21,7 @@ struct Row {
   double wall_ops_per_sec = 0;
   std::uint64_t crash_checks = 0;
   std::uint64_t crash_states = 0;
+  std::uint64_t crash_states_mounted = 0;
 };
 
 std::map<std::string, Row> g_rows;
@@ -62,9 +63,12 @@ void RunCase(benchmark::State& state, const std::string& name, FsKind a,
     row.wall_ops_per_sec = report.wall_ops_per_sec;
     row.crash_checks = report.counters.crash_checks;
     row.crash_states = report.counters.crash_states_checked;
+    row.crash_states_mounted = report.counters.crash_states_mounted;
     g_rows[name] = row;
     state.counters["wall_ops_per_s"] = row.wall_ops_per_sec;
     state.counters["crash_states"] = static_cast<double>(row.crash_states);
+    state.counters["crash_states_mounted"] =
+        static_cast<double>(row.crash_states_mounted);
   }
 }
 

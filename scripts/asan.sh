@@ -9,7 +9,9 @@
 #
 # e.g. `scripts/asan.sh -L mutation` to narrow to the shrink/campaign
 # suite, `scripts/asan.sh -L crash` for the crash-exploration suite
-# (the CrashableDisk journal + recovery-probe churn is allocation-heavy),
+# (the CrashableDisk journal + recovery-probe churn is allocation-heavy,
+# and each checker's recovered-image memo copies captured trees into its
+# LRU entries and frees them on eviction),
 # `scripts/asan.sh -L snapshot` for the COW snapshot suite — the
 # leak detector is what proves a discarded snapshot's refcounted chunks
 # and blocks actually free — `scripts/asan.sh -L spec` for the

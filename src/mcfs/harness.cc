@@ -166,6 +166,11 @@ std::string McfsReport::Summary() const {
         << counters.snapshot_shared_bytes << " snap_excl="
         << counters.snapshot_exclusive_bytes;
   }
+  if (counters.crash_checks > 0) {
+    out << "\ncrash: checks=" << counters.crash_checks
+        << " states_checked=" << counters.crash_states_checked
+        << " states_mounted=" << counters.crash_states_mounted;
+  }
   if (!oracle_disagreements.empty()) {
     out << "\noracle disagreements:";
     for (const auto& [name, count] : oracle_disagreements) {

@@ -445,7 +445,10 @@ Status SyscallEngine::ApplyAction(std::size_t action) {
     if (Status s = fs_[i]->BeginOp(); !s.ok()) {
       ++counters_.corruption_events;
       // BeginOp on the earlier members may have remounted after the op.
-      for (std::size_t j = 0; j < i; ++j) inc_[j].Invalidate();
+      for (std::size_t j = 0; j < i; ++j) {
+        inc_[j].Invalidate();
+        if (crash_[j] != nullptr) crash_[j]->Invalidate();
+      }
       violation_ = "remount failed on " + fs_[i]->name() + ": " +
                    std::string(ErrnoName(s.error()));
       return Status::Ok();
@@ -472,6 +475,7 @@ Status SyscallEngine::ApplyAction(std::size_t action) {
   }
 
   // Full-state integrity check + abstract hash for visited matching.
+  bool observed = false;
   if (!violation_.has_value()) {
     for (std::size_t i = 0; i < fs_.size(); ++i) {
       touched_[i] = TouchedPaths(op, outcomes_[i]);
@@ -489,12 +493,20 @@ Status SyscallEngine::ApplyAction(std::size_t action) {
           return s;
         }
       }
+      observed = true;
     }
   } else {
     // The operation ran but its effects were never folded into the
     // caches; if exploration continues past this violation
     // (ClearViolation), the next digest must come from a fresh walk.
     for (IncrementalAbstraction& inc : inc_) inc.Invalidate();
+  }
+  if (!observed) {
+    // Likewise the persistence oracles: they only re-read what an op
+    // touches, so the next observe must walk the whole tree.
+    for (const auto& checker : crash_) {
+      if (checker != nullptr) checker->Invalidate();
+    }
   }
 
   trace_.Append(op, outcomes_[0], outcomes_[1], violation_.has_value());
@@ -614,6 +626,7 @@ Status SyscallEngine::CrashCheck() {
   if (!crash_seed_status_.ok()) return crash_seed_status_;
   ++counters_.crash_checks;
   std::uint64_t states_checked = 0;
+  std::uint64_t states_mounted = 0;
   for (const auto& checker : crash_) {
     if (checker == nullptr) continue;
     Result<std::string> r = checker->Check();
@@ -623,8 +636,10 @@ Status SyscallEngine::CrashCheck() {
       violation_ = r.value();
     }
     states_checked += checker->states_checked();
+    states_mounted += checker->states_mounted();
   }
   counters_.crash_states_checked = states_checked;
+  counters_.crash_states_mounted = states_mounted;
   return Status::Ok();
 }
 

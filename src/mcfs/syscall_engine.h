@@ -73,10 +73,12 @@ struct EngineCounters {
   // reused from an identical preceding block of the same file.
   std::uint64_t abstraction_blocks_hashed = 0;
   std::uint64_t abstraction_blocks_reused = 0;
-  // Crash-exploration accounting: CrashCheck() invocations and the total
-  // number of crash states mounted + validated across all members.
+  // Crash-exploration accounting: CrashCheck() invocations, the total
+  // number of crash states validated across all members, and how many of
+  // those needed a probe mount (the rest reused a recovered image).
   std::uint64_t crash_checks = 0;
   std::uint64_t crash_states_checked = 0;
+  std::uint64_t crash_states_mounted = 0;
   // Snapshot-pool accounting, sampled after every concrete save/discard
   // and summed over all members. Byte figures come from the
   // structurally-shared pool walk (fs::SnapshotStats): shared = reachable
